@@ -6,7 +6,7 @@
 //                               exact engines refuse): per-fact estimates
 //                               vs brute-force exact values.
 //   BM_ApproxSamplesPerSec/<t>  sampling throughput at t worker threads
-//                               (permutation draws + memoized oracle).
+//                               (permutation draws + lineage oracle).
 //
 // Counters (tools/check_approx_accuracy.py gates them in CI):
 //   ci_max            widest reported confidence radius across facts
@@ -15,7 +15,7 @@
 //                     exact value sits inside its reported interval
 //   samples_per_orbit the budget the run actually used
 //   samples_per_sec   permutation samples per wall-clock second
-//   eval_calls        oracle evaluations that missed the coalition cache
+//   lineage_clauses   clauses of the compiled lineage the oracle tests
 //
 // Fixed seed + the engine's deterministic reduction make the accuracy rows
 // reproducible: the gate checks a fixed outcome, not a probabilistic one.
@@ -97,7 +97,7 @@ void BM_ApproxSamplesPerSec(benchmark::State& state) {
   spec.max_samples = 4096;
   const size_t threads = static_cast<size_t>(state.range(0));
 
-  size_t samples_total = 0, eval_calls = 0, cache_hits = 0;
+  size_t samples_total = 0, lineage_clauses = 0;
   for (auto _ : state) {
     auto engine = ApproxEngine::Create(q2, u.db, {});
     SHAPCQ_CHECK(engine.ok());
@@ -106,15 +106,11 @@ void BM_ApproxSamplesPerSec(benchmark::State& state) {
     SHAPCQ_CHECK(estimated.ok());
     benchmark::DoNotOptimize(estimated.value().data());
     samples_total += approx.info().samples_total;
-    eval_calls += approx.info().eval_calls;
-    cache_hits += approx.info().cache_hits;
+    lineage_clauses = approx.info().lineage_clauses;
   }
   state.counters["samples_per_sec"] = benchmark::Counter(
       static_cast<double>(samples_total), benchmark::Counter::kIsRate);
-  state.counters["eval_calls"] =
-      static_cast<double>(eval_calls) / state.iterations();
-  state.counters["cache_hits"] =
-      static_cast<double>(cache_hits) / state.iterations();
+  state.counters["lineage_clauses"] = static_cast<double>(lineage_clauses);
 }
 BENCHMARK(BM_ApproxSamplesPerSec)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 

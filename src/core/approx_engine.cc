@@ -1,12 +1,9 @@
 #include "core/approx_engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <list>
 #include <map>
-#include <mutex>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -37,16 +34,6 @@ uint64_t MixStreamSeed(uint64_t seed, uint64_t a, uint64_t b) {
   return z;
 }
 
-uint64_t HashWords(const std::vector<uint64_t>& words) {
-  uint64_t h = 0x9e3779b97f4a7c15ull;
-  for (uint64_t w : words) {
-    h ^= w;
-    h *= 0xff51afd7ed558ccdull;
-    h ^= h >> 33;
-  }
-  return h;
-}
-
 }  // namespace
 
 // ----------------------------------------------------------------------------
@@ -75,99 +62,149 @@ std::string ApproxSpec::CacheKey() const {
 }
 
 // ----------------------------------------------------------------------------
-// CoalitionCache
+// CoalitionLineage
 
-struct CoalitionCache::Impl {
-  // Entries hold their key alongside the value so the LRU list alone can
-  // drive map erasure on eviction.
-  struct Entry {
-    std::vector<uint64_t> words;
-    bool value;
-  };
-  struct WordsHash {
-    size_t operator()(const std::vector<uint64_t>& words) const {
-      return static_cast<size_t>(HashWords(words));
+Result<CoalitionLineage> CoalitionLineage::Compile(const CQ& q,
+                                                   const Database& db,
+                                                   const CancelToken* cancel) {
+  using R = Result<CoalitionLineage>;
+  if (cancel != nullptr && !cancel->Enabled()) cancel = nullptr;
+  if (cancel != nullptr && cancel->Expired()) {
+    return R::Error(CancelToken::kCancelledMessage);
+  }
+  // Atoms with their relation ids resolved once.
+  std::vector<std::pair<const Atom*, RelationId>> positive, negative;
+  for (size_t index : q.PositiveAtoms()) {
+    positive.emplace_back(&q.atom(index),
+                          db.schema().Find(q.atom(index).relation));
+  }
+  for (size_t index : q.NegativeAtoms()) {
+    negative.emplace_back(&q.atom(index),
+                          db.schema().Find(q.atom(index).relation));
+  }
+
+  CoalitionLineage lineage;
+  lineage.word_count_ = (db.endogenous_count() + 63) / 64;
+  std::vector<uint32_t>& facts = lineage.facts_;
+  std::vector<size_t>& bounds = lineage.bounds_;
+  std::vector<uint32_t> need, forbid;
+  Tuple grounded;
+  size_t visited = 0;
+  bool cancelled = false;
+  // Returns false when `atom` under `h` grounds to an exogenous fact, true
+  // after adding the fact's endo index to `out` (or finding no such fact).
+  auto ground = [&](const std::pair<const Atom*, RelationId>& atom,
+                    const Assignment& h, std::vector<uint32_t>* out) {
+    const std::vector<Term>& terms = atom.first->terms;
+    grounded.resize(terms.size());
+    for (size_t i = 0; i < terms.size(); ++i) {
+      grounded[i] = terms[i].IsConst() ? terms[i].constant
+                                       : h[static_cast<size_t>(terms[i].var)];
     }
+    const FactId fact = db.FindFact(atom.second, grounded);
+    if (fact == kNoFact) return true;
+    if (!db.is_endogenous(fact)) return false;
+    out->push_back(static_cast<uint32_t>(db.endo_index(fact)));
+    return true;
   };
-  struct Stripe {
-    std::mutex mutex;
-    std::list<Entry> lru;  // front = most recently used
-    std::unordered_map<std::vector<uint64_t>, std::list<Entry>::iterator,
-                       WordsHash>
-        index;
+  auto normalize = [](std::vector<uint32_t>* v) {
+    std::sort(v->begin(), v->end());
+    v->erase(std::unique(v->begin(), v->end()), v->end());
   };
+  ForEachHomomorphism(
+      q, db, db.FullWorld(), /*enforce_negative=*/false,
+      [&](const Assignment& h) {
+        if (cancel != nullptr && ++visited % 1024 == 0 && cancel->Expired()) {
+          cancelled = true;
+          return false;
+        }
+        need.clear();
+        forbid.clear();
+        // Positive atoms ground to facts of the database; an exogenous one
+        // needs nothing, so the return value does not matter here.
+        for (const auto& atom : positive) ground(atom, h, &need);
+        for (const auto& atom : negative) {
+          if (!ground(atom, h, &forbid)) return true;  // blocked
+        }
+        normalize(&need);
+        normalize(&forbid);
+        // A fact both needed and forbidden: no world satisfies this h.
+        for (size_t i = 0, j = 0; i < need.size() && j < forbid.size();) {
+          if (need[i] == forbid[j]) return true;
+          need[i] < forbid[j] ? ++i : ++j;
+        }
+        facts.insert(facts.end(), need.begin(), need.end());
+        bounds.push_back(facts.size());
+        facts.insert(facts.end(), forbid.begin(), forbid.end());
+        bounds.push_back(facts.size());
+        return true;
+      });
+  if (cancelled) return R::Error(CancelToken::kCancelledMessage);
 
-  static constexpr size_t kStripes = 16;
-
-  Stripe stripes[kStripes];
-  size_t per_stripe_cap = 0;  // 0 = memoization disabled
-  std::atomic<size_t> hits{0};
-  std::atomic<size_t> misses{0};
-  std::atomic<size_t> evictions{0};
-  std::atomic<size_t> entries{0};
-
-  Stripe& StripeFor(uint64_t hash) {
-    // The low bits pick the map bucket inside the stripe; use high bits for
-    // the stripe so the two choices stay independent.
-    return stripes[(hash >> 58) % kStripes];
+  // Keep the first of each group of identical clauses: sort clause ids by
+  // a hash of their facts, compare exactly only within equal-hash runs,
+  // then compact the survivors in place, in their original order.
+  const size_t found = lineage.clause_count();
+  auto begin = [&](size_t c) { return facts.begin() + bounds[2 * c]; };
+  auto end = [&](size_t c) { return facts.begin() + bounds[2 * c + 2]; };
+  auto same = [&](size_t a, size_t b) {
+    return bounds[2 * a + 1] - bounds[2 * a] ==
+               bounds[2 * b + 1] - bounds[2 * b] &&
+           std::equal(begin(a), end(a), begin(b), end(b));
+  };
+  std::vector<std::pair<uint64_t, size_t>> keyed(found);
+  for (size_t c = 0; c < found; ++c) {
+    uint64_t h = bounds[2 * c + 1] - bounds[2 * c];
+    for (auto it = begin(c); it != end(c); ++it) h = MixStreamSeed(h, *it, 0);
+    keyed[c] = {h, c};
   }
-};
-
-CoalitionCache::CoalitionCache(size_t max_entries)
-    : impl_(std::make_unique<Impl>()) {
-  impl_->per_stripe_cap =
-      max_entries == 0
-          ? 0
-          : (max_entries + Impl::kStripes - 1) / Impl::kStripes;
-}
-CoalitionCache::~CoalitionCache() = default;
-CoalitionCache::CoalitionCache(CoalitionCache&&) noexcept = default;
-CoalitionCache& CoalitionCache::operator=(CoalitionCache&&) noexcept = default;
-
-int CoalitionCache::Lookup(const std::vector<uint64_t>& words) {
-  if (impl_->per_stripe_cap == 0) {
-    impl_->misses.fetch_add(1, std::memory_order_relaxed);
-    return -1;
+  std::sort(keyed.begin(), keyed.end());
+  std::vector<bool> duplicate(found, false);
+  std::vector<size_t> kept;  // distinct clauses of the current hash run
+  for (size_t i = 0; i < found; ++i) {
+    if (i == 0 || keyed[i].first != keyed[i - 1].first) kept.clear();
+    const size_t c = keyed[i].second;
+    for (size_t k : kept) {
+      if (same(k, c)) {
+        duplicate[c] = true;
+        break;
+      }
+    }
+    if (!duplicate[c]) kept.push_back(c);
   }
-  Impl::Stripe& stripe = impl_->StripeFor(HashWords(words));
-  std::lock_guard<std::mutex> lock(stripe.mutex);
-  auto it = stripe.index.find(words);
-  if (it == stripe.index.end()) {
-    impl_->misses.fetch_add(1, std::memory_order_relaxed);
-    return -1;
+  size_t write = 0, clauses = 0;
+  for (size_t c = 0; c < found; ++c) {
+    if (duplicate[c]) continue;
+    const size_t from = bounds[2 * c], to = bounds[2 * c + 2];
+    if (write != from) {
+      std::copy(facts.begin() + from, facts.begin() + to,
+                facts.begin() + write);
+    }
+    bounds[2 * clauses + 1] = write + (bounds[2 * c + 1] - from);
+    write += to - from;
+    bounds[2 * clauses + 2] = write;
+    ++clauses;
   }
-  stripe.lru.splice(stripe.lru.begin(), stripe.lru, it->second);
-  impl_->hits.fetch_add(1, std::memory_order_relaxed);
-  return it->second->value ? 1 : 0;
+  facts.resize(write);
+  bounds.resize(2 * clauses + 1);
+  facts.shrink_to_fit();
+  bounds.shrink_to_fit();
+  return R::Ok(std::move(lineage));
 }
 
-void CoalitionCache::Insert(const std::vector<uint64_t>& words, bool value) {
-  if (impl_->per_stripe_cap == 0) return;
-  Impl::Stripe& stripe = impl_->StripeFor(HashWords(words));
-  std::lock_guard<std::mutex> lock(stripe.mutex);
-  if (stripe.index.count(words) > 0) return;  // raced with another sampler
-  stripe.lru.push_front(Impl::Entry{words, value});
-  stripe.index.emplace(words, stripe.lru.begin());
-  impl_->entries.fetch_add(1, std::memory_order_relaxed);
-  if (stripe.lru.size() > impl_->per_stripe_cap) {
-    stripe.index.erase(stripe.lru.back().words);
-    stripe.lru.pop_back();
-    impl_->evictions.fetch_add(1, std::memory_order_relaxed);
-    impl_->entries.fetch_sub(1, std::memory_order_relaxed);
+bool CoalitionLineage::Satisfied(const std::vector<uint64_t>& words) const {
+  auto present = [&](uint32_t i) { return (words[i >> 6] >> (i & 63)) & 1; };
+  const uint32_t* facts = facts_.data();
+  for (size_t c = 0; c + 1 < bounds_.size(); c += 2) {
+    const uint32_t* at = facts + bounds_[c];
+    const uint32_t* need_end = facts + bounds_[c + 1];
+    const uint32_t* end = facts + bounds_[c + 2];
+    while (at != need_end && present(*at)) ++at;
+    if (at != need_end) continue;
+    while (at != end && !present(*at)) ++at;
+    if (at == end) return true;
   }
-}
-
-size_t CoalitionCache::hits() const {
-  return impl_->hits.load(std::memory_order_relaxed);
-}
-size_t CoalitionCache::misses() const {
-  return impl_->misses.load(std::memory_order_relaxed);
-}
-size_t CoalitionCache::evictions() const {
-  return impl_->evictions.load(std::memory_order_relaxed);
-}
-size_t CoalitionCache::entries() const {
-  return impl_->entries.load(std::memory_order_relaxed);
+  return false;
 }
 
 // ----------------------------------------------------------------------------
@@ -221,30 +258,8 @@ struct ApproxEngine::Impl {
   Options options;
   std::vector<size_t> orbits;  // per endo index, dense
   std::string orbit_source;
-  CoalitionCache cache{0};
-  std::atomic<size_t> eval_calls{0};
+  CoalitionLineage lineage;
   ApproxRunInfo info;
-
-  // Packs `world` into `words` and answers q(Dx ∪ world) through the
-  // execution cache. `words` is caller-owned scratch, already sized.
-  bool CachedEval(const World& world, std::vector<uint64_t>* words) {
-    std::fill(words->begin(), words->end(), 0);
-    for (size_t i = 0; i < world.size(); ++i) {
-      if (world[i]) (*words)[i >> 6] |= uint64_t{1} << (i & 63);
-    }
-    return CachedEvalPacked(world, *words);
-  }
-
-  // As CachedEval, with `words` already packed to match `world`.
-  bool CachedEvalPacked(const World& world,
-                        const std::vector<uint64_t>& words) {
-    const int cached = cache.Lookup(words);
-    if (cached >= 0) return cached == 1;
-    const bool value = EvalBoolean(*q, *db, world);
-    eval_calls.fetch_add(1, std::memory_order_relaxed);
-    cache.Insert(words, value);
-    return value;
-  }
 
   // Per-stream integer accumulators: exact, order-independent within the
   // chunk, summed in fixed chunk order by the reduction.
@@ -258,7 +273,7 @@ struct ApproxEngine::Impl {
   // position k for the representative and then a uniform k-subset of the
   // other players is distributed exactly like a uniform permutation prefix.
   void RunChunk(size_t rep, uint64_t chunk, size_t count, uint64_t seed,
-                ChunkAccum* accum) {
+                ChunkAccum* accum) const {
     const size_t n = db->endogenous_count();
     Rng rng(MixStreamSeed(seed, rep, chunk));
     std::vector<size_t> others;
@@ -266,8 +281,7 @@ struct ApproxEngine::Impl {
     for (size_t i = 0; i < n; ++i) {
       if (i != rep) others.push_back(i);
     }
-    World world(n, false);
-    std::vector<uint64_t> words((n + 63) / 64, 0);
+    std::vector<uint64_t> words(lineage.word_count(), 0);
     for (size_t s = 0; s < count; ++s) {
       const size_t k = n == 1 ? 0 : static_cast<size_t>(rng.UniformInt(n));
       // Partial Fisher-Yates: others[0..k) becomes a uniform k-subset. The
@@ -279,16 +293,13 @@ struct ApproxEngine::Impl {
             i + static_cast<size_t>(rng.UniformInt(others.size() - i));
         std::swap(others[i], others[j]);
       }
-      std::fill(world.begin(), world.end(), false);
       std::fill(words.begin(), words.end(), 0);
       for (size_t i = 0; i < k; ++i) {
-        world[others[i]] = true;
         words[others[i] >> 6] |= uint64_t{1} << (others[i] & 63);
       }
-      const bool before = CachedEvalPacked(world, words);
-      world[rep] = true;
+      const bool before = lineage.Satisfied(words);
       words[rep >> 6] |= uint64_t{1} << (rep & 63);
-      const bool after = CachedEvalPacked(world, words);
+      const bool after = lineage.Satisfied(words);
       const int64_t contribution = (after ? 1 : 0) - (before ? 1 : 0);
       accum->sum += contribution;
       accum->nonzero += contribution != 0;
@@ -302,12 +313,12 @@ ApproxEngine::ApproxEngine(ApproxEngine&&) noexcept = default;
 ApproxEngine& ApproxEngine::operator=(ApproxEngine&&) noexcept = default;
 
 Result<ApproxEngine> ApproxEngine::Create(const CQ& q, const Database& db,
-                                          const Options& options) {
+                                          const Options& options,
+                                          const CancelToken* cancel) {
   ApproxEngine engine;
   engine.impl_->q = &q;
   engine.impl_->db = &db;
   engine.impl_->options = options;
-  engine.impl_->cache = CoalitionCache(options.cache_entries);
   if (options.orbit_ids != nullptr) {
     if (options.orbit_ids->size() != db.endogenous_count()) {
       return Result<ApproxEngine>::Error(
@@ -321,6 +332,9 @@ Result<ApproxEngine> ApproxEngine::Create(const CQ& q, const Database& db,
     engine.impl_->orbits = ApproxSymmetryOrbits(q, db);
     engine.impl_->orbit_source = "signature";
   }
+  auto lineage = CoalitionLineage::Compile(q, db, cancel);
+  if (!lineage.ok()) return Result<ApproxEngine>::Error(lineage.error());
+  engine.impl_->lineage = std::move(lineage).value();
   return Result<ApproxEngine>::Ok(std::move(engine));
 }
 
@@ -339,9 +353,7 @@ Result<std::vector<ApproxRow>> ApproxEngine::EstimateAll(
   const size_t n = db.endogenous_count();
   impl.info = ApproxRunInfo{};
   impl.info.orbit_source = impl.orbit_source;
-  impl.eval_calls.store(0, std::memory_order_relaxed);
-  const size_t cache_hits_before = impl.cache.hits();
-  const size_t cache_evictions_before = impl.cache.evictions();
+  impl.info.lineage_clauses = impl.lineage.clause_count();
 
   std::vector<ApproxRow> rows(n);
   if (n == 0) return R::Ok(std::move(rows));
@@ -402,8 +414,7 @@ Result<std::vector<ApproxRow>> ApproxEngine::EstimateAll(
   // deterministic RNG stream, so skipping whole chunks never perturbs the
   // streams an uncancelled retry replays. Workers that observe an expired
   // token skip their remaining tasks; the run then fails as a whole below
-  // (partial sums are discarded — only the coalition cache, which cannot
-  // affect values, keeps its warmth).
+  // and its partial sums are discarded.
   const size_t threads = ThreadPool::ResolveThreadCount(num_threads);
   if (threads <= 1 || slots.size() <= 1) {
     for (size_t task = 0; task < slots.size(); ++task) {
@@ -461,11 +472,6 @@ Result<std::vector<ApproxRow>> ApproxEngine::EstimateAll(
       if (impl.orbits[i] == sampled[ordinal]) rows[i] = row;
     }
   }
-
-  impl.info.eval_calls = impl.eval_calls.load(std::memory_order_relaxed);
-  impl.info.cache_hits = impl.cache.hits() - cache_hits_before;
-  impl.info.cache_evictions =
-      impl.cache.evictions() - cache_evictions_before;
   return R::Ok(std::move(rows));
 }
 

@@ -22,10 +22,13 @@
 //    the query). Confidence is Bonferroni-split across sampled orbits, so
 //    ALL reported intervals hold simultaneously with probability >= 1 - δ.
 //
-//  * A memoized coalition-value oracle. Worlds are hash-consed into packed
-//    bitmask signatures and query truth is cached in a striped, LRU-bounded
-//    execution cache shared by all sampling threads — repeated coalitions
-//    (common at small n and under stratification) skip the evaluator.
+//  * A compiled coalition-value oracle. The query's lineage over the fixed
+//    database is compiled once per engine into clauses — (endogenous facts
+//    that must be present, endogenous facts that must be absent), one per
+//    distinct positive homomorphism, each at most one fact per atom — and
+//    a sampled coalition, packed into bitmask words, is tested against them
+//    with one bit probe per clause fact: no matcher run, no lock, no
+//    hashing and no allocation per sample.
 //
 //  * Deterministic parallel fan-out. The sample budget is cut into
 //    fixed-size chunks; chunk (orbit, index) always draws from its own
@@ -95,9 +98,7 @@ struct ApproxRunInfo {
   size_t samples_per_orbit = 0;
   size_t samples_total = 0;
   bool budget_capped = false;  ///< max_samples cut the Hoeffding count
-  size_t eval_calls = 0;       ///< evaluator invocations (cache misses)
-  size_t cache_hits = 0;
-  size_t cache_evictions = 0;
+  size_t lineage_clauses = 0;  ///< clauses of the compiled lineage
   std::string orbit_source;    ///< "engine" (exact-engine orbits injected)
                                ///< or "signature" (computed here)
 };
@@ -111,40 +112,55 @@ struct ApproxRunInfo {
 /// per endogenous fact, endo-index order, first-seen numbering.
 std::vector<size_t> ApproxSymmetryOrbits(const CQ& q, const Database& db);
 
-/// Thread-safe LRU-bounded memo of coalition -> query truth. Keys are the
-/// packed World bitmask (hash-consed: the full words resolve collisions);
-/// entries are striped over independent locks so parallel samplers mostly
-/// avoid contention. Bounded by entry count; eviction is per-stripe LRU.
-class CoalitionCache {
+/// The lineage of a Boolean CQ¬ over a fixed database: q(Dx ∪ S) holds iff
+/// some clause has need ⊆ S and forbid ∩ S = ∅. A clause comes from one
+/// positive homomorphism h of the full database: `need` holds the
+/// endogenous facts h sends positive atoms to, `forbid` the endogenous facts
+/// present in the database that h sends negated atoms to; an h with a
+/// negated atom on an exogenous fact yields no clause. Every world is a
+/// subset of the full database, so a homomorphism of Dx ∪ S is exactly such
+/// an h with its need facts in S and its forbid facts out of it. Identical
+/// clauses are kept once. Each clause holds at most one endo index per atom,
+/// so the lineage takes O(#positive homomorphisms × |q|) memory. Read-only
+/// after Compile: safe to share between threads.
+class CoalitionLineage {
  public:
-  explicit CoalitionCache(size_t max_entries);
-  ~CoalitionCache();
-  CoalitionCache(CoalitionCache&&) noexcept;
-  CoalitionCache& operator=(CoalitionCache&&) noexcept;
+  /// Compiles the lineage with one matcher pass over the full database. A
+  /// non-null `cancel` token is polled before the pass and every 1024
+  /// homomorphisms; on expiry Compile returns the cancellation error.
+  static Result<CoalitionLineage> Compile(const CQ& q, const Database& db,
+                                          const CancelToken* cancel =
+                                              nullptr);
 
-  /// -1 = absent, 0 = cached false, 1 = cached true.
-  int Lookup(const std::vector<uint64_t>& words);
-  void Insert(const std::vector<uint64_t>& words, bool value);
+  /// Whether q holds on Dx ∪ S, where S is packed into `words`: bit i of
+  /// word i / 64 is endogenous fact i (endo-index order). `words` has
+  /// word_count() entries. Costs at most one bit probe per clause fact:
+  /// a clause stops at its first failing probe, the scan at the first
+  /// clause that holds.
+  bool Satisfied(const std::vector<uint64_t>& words) const;
 
-  size_t hits() const;
-  size_t misses() const;    ///< Lookup calls that found nothing
-  size_t evictions() const;
-  size_t entries() const;
+  size_t clause_count() const { return bounds_.size() / 2; }
+  /// Need and forbid entries over all clauses: the lineage's size, at most
+  /// clause_count() times the number of atoms of the query.
+  size_t literal_count() const { return facts_.size(); }
+  /// (endogenous_count + 63) / 64.
+  size_t word_count() const { return word_count_; }
 
  private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
+  size_t word_count_ = 0;
+  // Endo indices: clause c's sorted need facts are facts_[bounds_[2c],
+  // bounds_[2c+1]), its sorted forbid facts facts_[bounds_[2c+1],
+  // bounds_[2c+2]).
+  std::vector<uint32_t> facts_;
+  std::vector<size_t> bounds_{0};
 };
 
 /// The sampling engine: built once per (query, database) pair, then
 /// EstimateAll per (spec, thread count). Holds the orbit partition and the
-/// shared coalition cache across calls.
+/// compiled lineage across calls.
 class ApproxEngine {
  public:
   struct Options {
-    /// Bound on memoized coalitions (the execution cache); 0 disables
-    /// memoization entirely (every sample hits the evaluator).
-    size_t cache_entries = 1 << 15;
     /// Samples per deterministic RNG stream. One stream = one schedulable
     /// task; smaller chunks spread better over threads, larger ones
     /// amortize stream setup. Any value yields the same results.
@@ -157,8 +173,11 @@ class ApproxEngine {
 
   /// `q` and `db` must outlive the engine and must not mutate while it is
   /// used (rebuild after a delta, exactly like the report path does).
+  /// Compiles the lineage; a non-null `cancel` token is polled during the
+  /// compile, and on expiry Create returns the cancellation error.
   static Result<ApproxEngine> Create(const CQ& q, const Database& db,
-                                     const Options& options);
+                                     const Options& options,
+                                     const CancelToken* cancel = nullptr);
   ~ApproxEngine();
   ApproxEngine(ApproxEngine&&) noexcept;
   ApproxEngine& operator=(ApproxEngine&&) noexcept;
@@ -167,9 +186,8 @@ class ApproxEngine {
   /// `num_threads`: 1 = serial, 0 = hardware concurrency; bit-identical
   /// output at every setting. `spec` must validate. A non-null `cancel`
   /// token is polled at chunk boundaries (each chunk is one deterministic
-  /// RNG stream); on expiry EstimateAll returns the cancellation error.
-  /// The coalition cache keeps whatever a cancelled run warmed — cache
-  /// content never affects values, only speed.
+  /// RNG stream); on expiry EstimateAll returns the cancellation error and
+  /// the engine is unchanged.
   Result<std::vector<ApproxRow>> EstimateAll(const ApproxSpec& spec,
                                              size_t num_threads,
                                              const CancelToken* cancel =

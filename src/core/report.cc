@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <cstdarg>
 #include <cstdio>
 
 #include "core/brute_force.h"
@@ -19,6 +20,36 @@ std::string DeadlineExceededMessage(size_t deadline_ms) {
 }
 
 namespace {
+
+// printf-style append of one whole row to `out`. Rows that fit the stack
+// buffer are formatted once; longer ones (exact values of large tables run
+// to hundreds of digits) are formatted again straight into `out`, so no row
+// is ever cut short.
+__attribute__((format(printf, 2, 3))) void AppendFormat(std::string* out,
+                                                        const char* format,
+                                                        ...) {
+  char buffer[256];
+  va_list args;
+  va_start(args, format);
+  va_list retry;
+  va_copy(retry, args);
+  const int length = std::vsnprintf(buffer, sizeof(buffer), format, args);
+  va_end(args);
+  if (length < 0) {
+    va_end(retry);
+    return;
+  }
+  if (static_cast<size_t>(length) < sizeof(buffer)) {
+    out->append(buffer, static_cast<size_t>(length));
+  } else {
+    const size_t start = out->size();
+    out->resize(start + static_cast<size_t>(length) + 1);
+    std::vsnprintf(&(*out)[start], static_cast<size_t>(length) + 1, format,
+                   retry);
+    out->resize(start + static_cast<size_t>(length));
+  }
+  va_end(retry);
+}
 
 // Descending by value via the division-free three-way compare: the sign
 // fast path settles most pairs (reports mix positive, zero and negative
@@ -85,7 +116,7 @@ Result<AttributionReport> BuildApproxReport(const CQ& q, const Database& db,
       return Result<AttributionReport>::Error(built.error());
     }
   }
-  auto created = ApproxEngine::Create(q, db, approx_options);
+  auto created = ApproxEngine::Create(q, db, approx_options, cancel);
   if (!created.ok()) return Result<AttributionReport>::Error(created.error());
   ApproxEngine engine = std::move(created).value();
   auto rows = engine.EstimateAll(options.approx, options.num_threads, cancel);
@@ -118,13 +149,14 @@ Result<AttributionReport> BuildApproxReport(const CQ& q, const Database& db,
 
 Result<AttributionReport> BuildDegradedApproxReport(
     const CQ& q, const Database& db, const ReportOptions& options) {
-  // Work-bounded, never re-deadlined, never rebuilding the exact index
+  // Sample-bounded, never re-deadlined, never rebuilding the exact index
   // (signature-stratified orbits): the deadline already expired once, so
   // the degraded answer should cost as little as a useful answer can. A
   // caller-provided approx spec is honored; otherwise a deliberately
-  // coarse default — wide CIs are the point of a degraded answer, and the
-  // per-sample cost still scales with the database, so the sample budget
-  // is the only lever this side of a time-budgeted sampler.
+  // coarse default — wide CIs are the point of a degraded answer. The
+  // lineage compile and the per-sample clause scan still scale with the
+  // database, so the sample budget is the only lever this side of a
+  // time-budgeted sampler.
   ReportOptions degraded = options;
   degraded.deadline_ms = 0;
   degraded.cancel = nullptr;
@@ -260,46 +292,36 @@ Result<AttributionReport> BuildAttributionReportFromEngine(
 
 std::string RenderReport(const AttributionReport& report, const Database& db) {
   std::string out = "engine: " + report.engine + "\n";
-  char line[200];
   if (report.approximate) {
     // Provenance first: the parameters that make the table reproducible
     // (seed-pure) and interpretable (joint coverage at 1 - delta).
-    std::snprintf(line, sizeof(line),
-                  "approx: eps=%g delta=%g seed=%" PRIu64
-                  " samples_per_orbit=%zu orbits=%zu/%zu source=%s capped=%s\n",
-                  report.approx.epsilon, report.approx.delta,
-                  report.approx.seed, report.approx.samples_per_orbit,
-                  report.approx.sampled_orbits, report.approx.orbit_count,
-                  report.approx.orbit_source.c_str(),
-                  report.approx.budget_capped ? "yes" : "no");
-    out += line;
-    std::snprintf(line, sizeof(line), "%-30s %14s %10s %10s %9s\n", "fact",
-                  "estimate", "~decimal", "+-ci", "samples");
-    out += line;
+    AppendFormat(&out,
+                 "approx: eps=%g delta=%g seed=%" PRIu64
+                 " samples_per_orbit=%zu orbits=%zu/%zu source=%s capped=%s\n",
+                 report.approx.epsilon, report.approx.delta,
+                 report.approx.seed, report.approx.samples_per_orbit,
+                 report.approx.sampled_orbits, report.approx.orbit_count,
+                 report.approx.orbit_source.c_str(),
+                 report.approx.budget_capped ? "yes" : "no");
+    AppendFormat(&out, "%-30s %14s %10s %10s %9s\n", "fact", "estimate",
+                 "~decimal", "+-ci", "samples");
     for (const Attribution& row : report.rows) {
-      std::snprintf(line, sizeof(line), "%-30s %14s %10.4f %10.4f %9zu\n",
-                    db.FactToString(row.fact).c_str(),
-                    row.value.ToString().c_str(), row.value.ToDouble(),
-                    row.ci_radius, row.samples);
-      out += line;
+      AppendFormat(&out, "%-30s %14s %10.4f %10.4f %9zu\n",
+                   db.FactToString(row.fact).c_str(),
+                   row.value.ToString().c_str(), row.value.ToDouble(),
+                   row.ci_radius, row.samples);
     }
-    std::snprintf(line, sizeof(line), "%-30s %14s\n", "total",
-                  report.total.ToString().c_str());
-    out += line;
+    AppendFormat(&out, "%-30s %14s\n", "total",
+                 report.total.ToString().c_str());
     return out;
   }
-  std::snprintf(line, sizeof(line), "%-30s %14s %10s\n", "fact", "Shapley",
-                "~decimal");
-  out += line;
+  AppendFormat(&out, "%-30s %14s %10s\n", "fact", "Shapley", "~decimal");
   for (const Attribution& row : report.rows) {
-    std::snprintf(line, sizeof(line), "%-30s %14s %10.4f\n",
-                  db.FactToString(row.fact).c_str(),
-                  row.value.ToString().c_str(), row.value.ToDouble());
-    out += line;
+    AppendFormat(&out, "%-30s %14s %10.4f\n",
+                 db.FactToString(row.fact).c_str(),
+                 row.value.ToString().c_str(), row.value.ToDouble());
   }
-  std::snprintf(line, sizeof(line), "%-30s %14s\n", "total",
-                report.total.ToString().c_str());
-  out += line;
+  AppendFormat(&out, "%-30s %14s\n", "total", report.total.ToString().c_str());
   return out;
 }
 

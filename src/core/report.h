@@ -24,9 +24,9 @@ class CancelToken;  // util/cancel.h
 /// What an expired deadline on an exact report turns into: a structured
 /// [E_DEADLINE] error (kError, the default), or a degradation to the
 /// sampling tier (kApprox) — the caller still gets an answer, CI-annotated
-/// with the usual "approx:" provenance line. Degraded runs are work-bounded
-/// (a default per-orbit sample cap), not re-deadlined: the deadline budget
-/// applies to the exact attempt.
+/// with the usual "approx:" provenance line. Degraded runs are
+/// sample-bounded (a default per-orbit sample cap), not re-deadlined: the
+/// deadline budget applies to the exact attempt.
 enum class OnDeadline { kError, kApprox };
 
 /// The canonical [E_DEADLINE] error payload. `deadline_ms` = 0 means the
@@ -112,13 +112,16 @@ Result<AttributionReport> BuildAttributionReport(const CQ& q,
                                                  const Database& db,
                                                  const ReportOptions& options);
 
-/// The deadline-degradation entry: a prompt, work-bounded sampling report
-/// for a query whose exact report just blew its deadline. Honors a
-/// caller-provided approx spec; otherwise uses a conservative default
-/// (eps=0.1, delta=0.05, max_samples=2048). Signature-stratified — it never
-/// rebuilds the exact index — and never re-deadlined (the deadline budget
-/// belonged to the exact attempt). Shared by BuildAttributionReport's
-/// on_deadline=approx path and the serving registry's.
+/// The deadline-degradation entry: a sample-bounded sampling report for a
+/// query whose exact report just blew its deadline. Honors a
+/// caller-provided approx spec; otherwise uses a coarse default (eps=0.25,
+/// delta=0.1, max_samples=512). Signature-stratified — it never rebuilds
+/// the exact index — and never re-deadlined (the deadline budget belonged
+/// to the exact attempt). Its cost is not bounded by the sample cap: it
+/// compiles the query's lineage, one pass over the positive homomorphisms
+/// of the full database held as O(#homomorphisms × |q|) memory. Shared by
+/// BuildAttributionReport's on_deadline=approx path and the serving
+/// registry's.
 Result<AttributionReport> BuildDegradedApproxReport(
     const CQ& q, const Database& db, const ReportOptions& options);
 

@@ -292,7 +292,7 @@ struct EngineRegistry::Impl {
   }
 
   // One deadline expiry, resolved under the stripe lock: bump the counters,
-  // then either degrade to a prompt work-bounded sampling answer
+  // then either degrade to a sample-bounded sampling answer
   // (on_deadline = kApprox and the caller allows it) or return the
   // structured [E_DEADLINE] error. Degraded tables are never cached — they
   // are a deadline artifact, not a requested spec, and must not shadow a

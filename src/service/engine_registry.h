@@ -218,7 +218,7 @@ class EngineRegistry {
   /// Deadlines: options.deadline_ms (or a caller-owned options.cancel
   /// token) bounds the report. Expiry yields the structured [E_DEADLINE]
   /// error — or, with options.on_deadline = kApprox on an exact-capable
-  /// session, a prompt work-bounded sampling answer (never cached: it is a
+  /// session, a sample-bounded sampling answer (never cached: it is a
   /// deadline artifact, not a requested spec). Either way the session is
   /// left fully consistent — partial engine work is value-preserving, the
   /// stripe byte accounting is re-enforced, and the next undeadlined

@@ -342,8 +342,7 @@ TEST(CancelBatteryTest, CancelledSamplingRunNeverPerturbsLaterValues) {
         EXPECT_TRUE(CancelToken::IsCancelled(sampled.error()))
             << sampled.error();
       }
-      // Whatever the cancelled run warmed in the coalition cache, a retry
-      // on the same engine reproduces the oracle rows bit for bit.
+      // A retry on the same engine reproduces the oracle rows bit for bit.
       auto retry = engine.EstimateAll(spec, threads);
       ASSERT_TRUE(retry.ok()) << retry.error();
       ASSERT_EQ(retry.value().size(), oracle.value().size());
@@ -355,6 +354,37 @@ TEST(CancelBatteryTest, CancelledSamplingRunNeverPerturbsLaterValues) {
       }
     }
   }
+}
+
+TEST(CancelBatteryTest, ExpiredTokenStopsTheLineageCompile) {
+  const CQ q = MustParseCQ(kNonHierarchicalQuery);
+  const Database db = MakeNonHierarchicalDb();
+  CancelToken expired = CancelToken::AfterMillis(0);
+  auto created = ApproxEngine::Create(q, db, ApproxEngine::Options{}, &expired);
+  ASSERT_FALSE(created.ok());
+  EXPECT_EQ(created.error(), CancelToken::kCancelledMessage);
+
+  // The report path surfaces the compile's expiry as [E_DEADLINE].
+  CancelToken report_token = CancelToken::AfterMillis(0);
+  ReportOptions options;
+  options.approx.epsilon = 0.25;
+  options.approx.delta = 0.1;
+  options.cancel = &report_token;
+  auto report = BuildAttributionReport(q, db, options);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.error(), DeadlineExceededMessage(0));
+
+  // A self-product has more homomorphisms than one polling interval, so a
+  // token that fires on its second poll stops the compile mid-pass.
+  const CQ product = MustParseCQ("q() :- Reg(x,y), Reg(z,w)");
+  const Database wide = MakeHierarchicalDb(60);
+  CancelToken second_poll = CancelToken::AtCheck(2);
+  auto stopped = ApproxEngine::Create(product, wide, ApproxEngine::Options{},
+                                      &second_poll);
+  ASSERT_FALSE(stopped.ok());
+  EXPECT_EQ(stopped.error(), CancelToken::kCancelledMessage);
+  EXPECT_TRUE(
+      ApproxEngine::Create(product, wide, ApproxEngine::Options{}).ok());
 }
 
 TEST(CancelBatteryTest, ConcurrentRequestCancelStopsAParallelSweep) {

@@ -1,8 +1,9 @@
 // The sampling tier (core/approx_engine.h): interval coverage against the
 // exact engines on generated tractable queries, bit-identical results at
-// every thread count, orbit soundness, the coalition cache, and the spec
-// surface. The ApproxEngineParallelTest suite runs under TSan in CI (the
-// shared striped cache and the chunked fan-out are the racy surface).
+// every thread count, orbit soundness, the compiled lineage against the
+// matcher, and the spec surface. The ApproxEngineParallelTest suite runs
+// under TSan in CI (the shared lineage and the chunked fan-out are the
+// racy surface).
 
 #include "core/approx_engine.h"
 
@@ -10,6 +11,7 @@
 
 #include <cmath>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/brute_force.h"
@@ -19,8 +21,10 @@
 #include "datasets/synthetic.h"
 #include "datasets/university.h"
 #include "db/textio.h"
+#include "eval/homomorphism.h"
 #include "query/analysis.h"
 #include "query/parser.h"
+#include "util/random.h"
 
 namespace shapcq {
 namespace {
@@ -311,55 +315,185 @@ TEST(ApproxEngineTest, EstimateAllRejectsInvalidSpec) {
 }
 
 // ---------------------------------------------------------------------------
-// The coalition cache.
+// The compiled lineage against the matcher.
 
-TEST(CoalitionCacheTest, LookupInsertAndCounters) {
-  CoalitionCache cache(1024);
-  const std::vector<uint64_t> a{0b1010}, b{0b0101};
-  EXPECT_EQ(cache.Lookup(a), -1);
-  EXPECT_EQ(cache.misses(), 1u);
-  cache.Insert(a, true);
-  cache.Insert(b, false);
-  EXPECT_EQ(cache.Lookup(a), 1);
-  EXPECT_EQ(cache.Lookup(b), 0);
-  EXPECT_EQ(cache.hits(), 2u);
-  EXPECT_EQ(cache.entries(), 2u);
-}
-
-TEST(CoalitionCacheTest, EvictsBeyondBound) {
-  // Cap 16 = one entry per stripe; hammering distinct keys must evict.
-  CoalitionCache cache(16);
-  for (uint64_t i = 0; i < 256; ++i) {
-    cache.Insert({i}, (i & 1) != 0);
+// The world packed the way the sampler packs coalitions.
+std::vector<uint64_t> PackWorld(const World& world) {
+  std::vector<uint64_t> words((world.size() + 63) / 64, 0);
+  for (size_t i = 0; i < world.size(); ++i) {
+    if (world[i]) words[i >> 6] |= uint64_t{1} << (i & 63);
   }
-  EXPECT_LE(cache.entries(), 16u);
-  EXPECT_GT(cache.evictions(), 0u);
+  return words;
 }
 
-TEST(CoalitionCacheTest, ZeroCapDisablesMemoization) {
+// Compares the lineage with EvalBoolean on all 2^n worlds; returns the
+// number of worlds on which the query holds.
+size_t ExpectLineageMatchesEveryWorld(const CQ& q, const Database& db) {
+  const size_t n = db.endogenous_count();
+  auto compiled = CoalitionLineage::Compile(q, db);
+  EXPECT_TRUE(compiled.ok()) << compiled.error();
+  if (!compiled.ok()) return 0;
+  const CoalitionLineage& lineage = compiled.value();
+  EXPECT_EQ(lineage.word_count(), (n + 63) / 64);
+  size_t satisfied = 0;
+  for (uint64_t mask = 0; mask < (uint64_t{1} << n); ++mask) {
+    World world(n, false);
+    for (size_t i = 0; i < n; ++i) world[i] = ((mask >> i) & 1) != 0;
+    const bool expected = EvalBoolean(q, db, world);
+    EXPECT_EQ(lineage.Satisfied(PackWorld(world)), expected)
+        << q.ToString() << " on world mask " << mask;
+    satisfied += expected;
+  }
+  return satisfied;
+}
+
+TEST(CoalitionLineageTest, MatchesMatcherOnEveryWorldOfFigure1) {
   UniversityDb u = BuildUniversityDb();
-  const CQ q1 = UniversityQ1();
-  ApproxEngine::Options options;
-  options.cache_entries = 0;
-  auto engine = ApproxEngine::Create(q1, u.db, options);
+  ASSERT_LE(u.db.endogenous_count(), 12u);
+  for (const CQ& q :
+       {UniversityQ1(), UniversityQ2(), UniversityQ3(), UniversityQ4()}) {
+    ExpectLineageMatchesEveryWorld(q, u.db);
+  }
+}
+
+TEST(CoalitionLineageTest, MatchesMatcherOnEveryWorldOfGeneratedQueries) {
+  // Hierarchical and unconstrained (mostly non-hierarchical) generated
+  // CQ¬s, with negation, constants and exogenous facts, at n <= 12.
+  size_t hierarchical = 0, nonhierarchical = 0, nontrivial = 0;
+  for (int seed = 0; seed < 60; ++seed) {
+    Rng rng(static_cast<uint64_t>(seed) * 7919u + 5);
+    QueryGenOptions gen;
+    gen.max_atoms = 4;
+    const CQ q = seed % 2 == 0 ? RandomHierarchicalCq(gen, &rng)
+                               : RandomSafeCq(gen, &rng);
+    SyntheticOptions synth;
+    synth.domain_size = 3;
+    synth.facts_per_relation = 3;
+    ExoRelations exo;
+    if (seed % 3 == 0) exo.insert(q.atom(0).relation);
+    Database db = RandomDatabaseForQuery(q, exo, synth, &rng);
+    const size_t n = db.endogenous_count();
+    if (n == 0 || n > 12) continue;
+    const size_t satisfied = ExpectLineageMatchesEveryWorld(q, db);
+    if (satisfied > 0 && satisfied < (size_t{1} << n)) ++nontrivial;
+    (IsHierarchical(q) ? hierarchical : nonhierarchical) += 1;
+  }
+  EXPECT_GE(hierarchical, 10u);
+  EXPECT_GE(nonhierarchical, 10u);
+  EXPECT_GE(nontrivial, 10u);
+}
+
+TEST(CoalitionLineageTest, MultiWordMasksMatchMatcherOnRandomWorlds) {
+  // More than 64 endogenous facts: coalitions span several mask words.
+  const Database db = BuildStudentScalingDb(40, 3);
+  ASSERT_GT(db.endogenous_count(), 128u);
+  const size_t n = db.endogenous_count();
+  for (const CQ& q : {UniversityQ1(), UniversityQ2()}) {
+    auto compiled = CoalitionLineage::Compile(q, db);
+    ASSERT_TRUE(compiled.ok()) << compiled.error();
+    EXPECT_EQ(compiled.value().word_count(), (n + 63) / 64);
+    Rng rng(41);
+    size_t satisfied = 0;
+    for (int trial = 0; trial < 300; ++trial) {
+      // Sparse worlds keep both outcomes common.
+      const double density = 0.02 + 0.3 * rng.UniformDouble();
+      World world(n, false);
+      for (size_t i = 0; i < n; ++i) world[i] = rng.Bernoulli(density);
+      const bool expected = EvalBoolean(q, db, world);
+      EXPECT_EQ(compiled.value().Satisfied(PackWorld(world)), expected)
+          << q.ToString() << " trial " << trial;
+      satisfied += expected;
+    }
+    EXPECT_GT(satisfied, 0u);
+    EXPECT_LT(satisfied, 300u);
+  }
+}
+
+TEST(CoalitionLineageTest, BlockedAndUnsatisfiableHomomorphismsYieldNoClause) {
+  // R(a) S(a) with S(a) exogenous: the only homomorphism of
+  // R(x), not S(x) is blocked for every world, so the lineage is empty.
+  auto blocked_db = ParseDatabase("R(a)* S(a) R(b)* S(b)*");
+  ASSERT_TRUE(blocked_db.ok());
+  auto compiled = CoalitionLineage::Compile(
+      MustParseCQ("q() :- R(x), not S(x)"), blocked_db.value());
+  ASSERT_TRUE(compiled.ok());
+  // Only x = b remains: need {R(b)}, forbid {S(b)}.
+  EXPECT_EQ(compiled.value().clause_count(), 1u);
+  // A homomorphism that needs and forbids the same fact holds in no world.
+  auto self_db = ParseDatabase("R(a)* S(a,a)*");
+  ASSERT_TRUE(self_db.ok());
+  const CQ self_q = MustParseCQ("q() :- R(x), S(x,y), not R(y)");
+  auto unsatisfiable = CoalitionLineage::Compile(self_q, self_db.value());
+  ASSERT_TRUE(unsatisfiable.ok());
+  EXPECT_EQ(unsatisfiable.value().clause_count(), 0u);
+  ExpectLineageMatchesEveryWorld(self_q, self_db.value());
+  // Duplicate homomorphisms (y ranges over two values that ground to the
+  // same facts) collapse to one clause per distinct (need, forbid) pair.
+  auto dup_db = ParseDatabase("R(a,c)* R(a,d)* T(a)*");
+  ASSERT_TRUE(dup_db.ok());
+  auto dup = CoalitionLineage::Compile(MustParseCQ("q() :- T(x), R(x,y)"),
+                                       dup_db.value());
+  ASSERT_TRUE(dup.ok());
+  EXPECT_EQ(dup.value().clause_count(), 2u);
+  auto same = CoalitionLineage::Compile(
+      MustParseCQ("q() :- T(x), R(x,y), R(x,z)"), dup_db.value());
+  ASSERT_TRUE(same.ok());
+  // (y,z) in {c,d}^2: {T,Rc}, {T,Rd} and {T,Rc,Rd} (twice).
+  EXPECT_EQ(same.value().clause_count(), 3u);
+  EXPECT_EQ(same.value().literal_count(), 2u + 2u + 3u);
+  ExpectLineageMatchesEveryWorld(MustParseCQ("q() :- T(x), R(x,y), R(x,z)"),
+                                 dup_db.value());
+}
+
+TEST(CoalitionLineageTest, CrossProductLineageHoldsOneFactPerAtom) {
+  // q() :- R(x), S(y) over a R facts and b S facts has a * b positive
+  // homomorphisms; each clause needs one R fact and one S fact, so the
+  // lineage holds 2ab endo indices however many mask words n takes.
+  const size_t a = 150, b = 120;
+  std::string text;
+  for (size_t i = 0; i < a; ++i) text += "R(r" + std::to_string(i) + ")* ";
+  for (size_t j = 0; j < b; ++j) text += "S(s" + std::to_string(j) + ")* ";
+  auto db = ParseDatabase(text);
+  ASSERT_TRUE(db.ok()) << db.error();
+  auto compiled =
+      CoalitionLineage::Compile(MustParseCQ("q() :- R(x), S(y)"), db.value());
+  ASSERT_TRUE(compiled.ok()) << compiled.error();
+  const CoalitionLineage& lineage = compiled.value();
+  EXPECT_EQ(lineage.word_count(), (a + b + 63) / 64);
+  EXPECT_EQ(lineage.clause_count(), a * b);
+  EXPECT_EQ(lineage.literal_count(), 2 * a * b);
+  // The query holds iff the coalition has an R fact and an S fact.
+  std::vector<uint64_t> words(lineage.word_count(), 0);
+  EXPECT_FALSE(lineage.Satisfied(words));
+  const size_t last_r = a - 1, last_s = a + b - 1;
+  words[last_r >> 6] |= uint64_t{1} << (last_r & 63);
+  EXPECT_FALSE(lineage.Satisfied(words));
+  words[last_s >> 6] |= uint64_t{1} << (last_s & 63);
+  EXPECT_TRUE(lineage.Satisfied(words));
+}
+
+TEST(ApproxEngineTest, ReportsLineageClauseCount) {
+  UniversityDb u = BuildUniversityDb();
+  const CQ q2 = UniversityQ2();
+  auto compiled = CoalitionLineage::Compile(q2, u.db);
+  ASSERT_TRUE(compiled.ok());
+  auto engine = ApproxEngine::Create(q2, u.db, {});
   ASSERT_TRUE(engine.ok());
   ApproxEngine approx = std::move(engine).value();
   ApproxSpec spec;
   spec.epsilon = 0.2;
   spec.delta = 0.05;
   spec.max_samples = 128;
-  auto rows = approx.EstimateAll(spec, 1);
-  ASSERT_TRUE(rows.ok());
-  EXPECT_EQ(approx.info().cache_hits, 0u);
-  // Every sample evaluates twice (with and without the representative).
-  EXPECT_EQ(approx.info().eval_calls, 2 * approx.info().samples_total);
+  ASSERT_TRUE(approx.EstimateAll(spec, 1).ok());
+  EXPECT_GT(approx.info().lineage_clauses, 0u);
+  EXPECT_EQ(approx.info().lineage_clauses, compiled.value().clause_count());
 }
 
 // ---------------------------------------------------------------------------
 // Parallel suite (runs under TSan in CI): many threads over the shared
-// striped cache, checked against the serial run for bit-equality.
+// lineage, checked against the serial run for bit-equality.
 
-TEST(ApproxEngineParallelTest, SharedCacheParallelMatchesSerial) {
+TEST(ApproxEngineParallelTest, ParallelMatchesSerial) {
   Rng rng(77);
   QueryGenOptions gen;
   const CQ q = RandomHierarchicalCq(gen, &rng);
@@ -397,7 +531,7 @@ TEST(ApproxEngineParallelTest, SharedCacheParallelMatchesSerial) {
   }
 }
 
-TEST(ApproxEngineParallelTest, RepeatedParallelRunsReuseSharedCache) {
+TEST(ApproxEngineParallelTest, RepeatedParallelRunsAreBitIdentical) {
   UniversityDb u = BuildUniversityDb();
   const CQ q2 = UniversityQ2();
   auto engine = ApproxEngine::Create(q2, u.db, {});
@@ -410,14 +544,14 @@ TEST(ApproxEngineParallelTest, RepeatedParallelRunsReuseSharedCache) {
 
   auto first = approx.EstimateAll(spec, 4);
   ASSERT_TRUE(first.ok());
-  const size_t first_evals = approx.info().eval_calls;
   auto second = approx.EstimateAll(spec, 4);
   ASSERT_TRUE(second.ok());
-  // The cache persists across runs: the repeat answers (almost) entirely
-  // from memo, and the estimates are reproduced bit-identically.
-  EXPECT_LT(approx.info().eval_calls, first_evals / 4 + 1);
+  // The engine keeps no state between runs that could move a value: the
+  // repeat reproduces the estimates bit-identically.
+  ASSERT_EQ(first.value().size(), second.value().size());
   for (size_t i = 0; i < first.value().size(); ++i) {
     EXPECT_EQ(first.value()[i].estimate, second.value()[i].estimate);
+    EXPECT_EQ(first.value()[i].ci_radius, second.value()[i].ci_radius);
   }
 }
 
