@@ -21,12 +21,11 @@ namespace {
 using namespace shapcq;
 
 void BM_EngineAllFacts(benchmark::State& state) {
-  // Default core: the flat SoA arena (engine_arena.h). Build is kept out of
-  // the timed region — it is the same serial tree construction in either
-  // core (BM_EngineBuildOnly tracks it in this same JSON), so the row
-  // measures the all-facts value computation the arena replaces. Compared
-  // against BM_EngineAllFactsTree below; tools/check_arena_speedup.py gates
-  // the arena/tree ratio at the endo >= 70 sizes.
+  // The flat SoA arena sweep (engine_arena.h). Build is kept out of the
+  // timed region (BM_EngineBuildOnly tracks it in this same JSON), so the
+  // row measures the all-facts value computation. Compared against
+  // BM_PerFactCountSatLoop below; tools/check_engine_speedup.py gates the
+  // per-fact/engine ratio at the endo >= 70 sizes.
   const CQ q = UniversityQ1();
   const Database db =
       BuildStudentScalingDb(static_cast<int>(state.range(0)), 3);
@@ -39,25 +38,6 @@ void BM_EngineAllFacts(benchmark::State& state) {
   state.SetLabel("endo=" + std::to_string(db.endogenous_count()));
 }
 BENCHMARK(BM_EngineAllFacts)->Arg(4)->Arg(8)->Arg(16)->Arg(20)->Arg(32);
-
-void BM_EngineAllFactsTree(benchmark::State& state) {
-  // The pointer-tree core (--engine=tree, the always-on differential
-  // oracle): same build, same values, per-node CountVector storage and
-  // per-leaf path re-walks instead of the arena's shared prefix/suffix
-  // sweeps. The gap against BM_EngineAllFacts is the arena speedup.
-  const CQ q = UniversityQ1();
-  const Database db =
-      BuildStudentScalingDb(static_cast<int>(state.range(0)), 3);
-  for (auto _ : state) {
-    state.PauseTiming();
-    ShapleyEngine engine =
-        std::move(ShapleyEngine::Build(q, db, EngineCore::kTree)).value();
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(engine.AllValues());
-  }
-  state.SetLabel("endo=" + std::to_string(db.endogenous_count()));
-}
-BENCHMARK(BM_EngineAllFactsTree)->Arg(4)->Arg(8)->Arg(16)->Arg(20)->Arg(32);
 
 void BM_PerFactCountSatLoop(benchmark::State& state) {
   // The pre-engine ShapleyAllViaCountSat: one ShapleyViaCountSat call (two

@@ -374,8 +374,8 @@ void EngineArena::SpliceNewChild(int parent, int child) {
   child_count_[parent] = static_cast<int32_t>(m + 1);
   topo_dirty_ = true;
 
-  // Numeric splice, operation-for-operation the tree's: fold the new child's
-  // unsat factor into the parent's core product via complement round-trips.
+  // Numeric splice: fold the new child's unsat factor into the parent's core
+  // product via complement round-trips.
   const Slot& core = slots_[core_slot_[parent]];
   const std::vector<BigInt> core_cpl =
       ComplementCells(cells_.data() + core.offset, core.len);
@@ -432,8 +432,8 @@ void EngineArena::PatchChildChanged(int parent, size_t j) {
     StoreSlotAt(core_slot_[parent], std::move(new_core));
     StoreSlotAt(sat_slot_[parent], std::move(new_sat));
   }
-  // The tree's MarkChildDirty: shrink the watermarks to exclude entries
-  // embedding child j's replaced combine vector.
+  // Shrink the watermarks to exclude entries embedding child j's replaced
+  // combine vector (prefix[0..j] and suffix[j+1..] exclude j and stay warm).
   if (!prefix_slots_[parent].empty()) {
     prefix_valid_[parent] =
         std::min(prefix_valid_[parent], static_cast<uint32_t>(j));

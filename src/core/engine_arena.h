@@ -1,10 +1,10 @@
 // Flat structure-of-arrays arena for the ShapleyEngine recursion tree.
 //
-// The memoized tree (shapley_engine.cc) is pointer-rich: every node owns its
-// |Sat| CountVector (a heap vector of BigInts), its prefix/suffix partial
-// products and a lazily built sibling-context table, plus routing maps. At
-// serving scale the all-facts hot path is therefore cache-miss bound. The
-// arena is the compiled form of that tree:
+// Kept per tree node, the memoized counts would be pointer-rich: a |Sat|
+// CountVector (a heap vector of BigInts) and prefix/suffix partial products
+// per node, next to the routing maps, so at serving scale the all-facts hot
+// path would be cache-miss bound. The arena is the compiled form of the
+// recursion tree (shapley_engine.cc) and the engine's only numeric core:
 //
 //  * Node metadata lives in index-linked parallel arrays (kind, parent,
 //    child ranges into one concatenated child-id array, free-endo counters,
@@ -31,16 +31,16 @@
 //   r[child] = r[parent] (* All(parent.free_endo)) * ctx_parent[child],
 //
 // with sign = -1 exactly for negated leaves. One convolution sweep down the
-// shared paths replaces the tree's two full root-to-leaf re-propagations per
-// orbit representative, and r[] is shared across every leaf below a common
-// ancestor. Shapley(leaf) then assembles from r[leaf] alone — the exact
-// same integers the tree oracle subtracts out of its two propagated
-// vectors, so values are bit-identical by construction.
+// shared paths replaces two full root-to-leaf re-propagations (fact forced
+// exogenous, fact removed) per orbit representative, and r[] is shared
+// across every leaf below a common ancestor. Shapley(leaf) then assembles
+// from r[leaf] alone — the exact same integers the two-propagation form
+// subtracts out, so values are bit-identical to the per-fact path by
+// construction.
 //
-// Incremental maintenance mirrors the tree patches on arena storage: leaf
-// flips, free-counter moves and new-child splices re-derive the dirtied
-// root-to-leaf path with the same prefix/suffix partial products (and the
-// same watermark invalidation rules) the tree keeps per node.
+// Incremental maintenance patches arena storage: leaf flips, free-counter
+// moves and new-child splices re-derive the dirtied root-to-leaf path from
+// per-node prefix/suffix partial products with watermark invalidation.
 //
 // The arena does NOT know about queries, routing or orbits: the owning
 // ShapleyEngine keeps the tree's routing metadata (slice maps, stored
@@ -102,7 +102,7 @@ class EngineArena {
   CountVector SatOf(int node) const;
 
   // -------------------------------------------------------------------------
-  // Mutation patches (bit-identical math to the tree's patch path).
+  // Mutation patches (bit-identical to a fresh build's counts).
   // -------------------------------------------------------------------------
 
   /// Replaces a ground leaf's |Sat| after its presence state flipped.
@@ -120,8 +120,9 @@ class EngineArena {
 
   /// Re-derives `parent`'s sat (and core_sat for root-var nodes) after child
   /// j's sat changed, convolving the child's new combine vector against the
-  /// prefix/suffix sibling product, then shrinks the watermarks exactly like
-  /// the tree's MarkChildDirty. One step of the root-to-leaf patch walk.
+  /// prefix/suffix sibling product, then shrinks the watermarks past the
+  /// entries embedding child j's old vector. One step of the root-to-leaf
+  /// patch walk.
   void PatchChildChanged(int parent, size_t j);
 
   /// Drops every cached r-vector (the difference-propagation sweep state).
@@ -135,7 +136,7 @@ class EngineArena {
 
   /// Shapley value of the endogenous fact at `leaf`, assembled from r[leaf]
   /// (computed and memoized along the path on demand). Bit-identical to the
-  /// tree oracle's two-propagation ValueAtLeaf.
+  /// per-fact ShapleyViaCountSat value.
   Rational ValueAtLeaf(int leaf, size_t endo_count, size_t global_free_endo);
 
   /// Warms r[] along the paths of all `leaves` — level-parallel over the
@@ -207,7 +208,7 @@ class EngineArena {
   // per-cell moves. `dst_ref` must not be `a` (re-ranged on demand; a's
   // cells are resolved after the possible buffer growth). The mirror
   // overload keeps the scratch range on the left so the accumulation
-  // order matches the tree's Convolve exactly on both operand orders.
+  // order matches CountVector::Convolve exactly on both operand orders.
   void ConvolveSlotWithInto(int32_t& dst_ref, int32_t a_slot, const BigInt* b,
                             size_t b_len);
   void ConvolveWithSlotInto(int32_t& dst_ref, const BigInt* a, size_t a_len,
@@ -217,13 +218,13 @@ class EngineArena {
   }
   size_t SlotLen(int32_t slot) const { return slots_[slot].len; }
 
-  // --- combine/partial helpers (all bit-identical to the tree's math) ---
+  // --- combine/partial helpers ---
   // Child j's combine vector: its sat for component parents, its complement
   // against All for root-var parents.
   std::vector<BigInt> CombineOf(int parent, size_t j) const;
   void EnsurePartialsAllocated(int parent);
   // prefix[j] = combine[0] * ... * combine[j-1]; suffix[i] likewise from the
-  // right. Valid-watermark semantics mirror the tree exactly.
+  // right, each valid up to its watermark.
   void PrefixUpTo(int parent, size_t j);
   void SuffixFrom(int parent, size_t i);
   std::vector<BigInt> SiblingCombine(int parent, size_t j);
@@ -257,7 +258,7 @@ class EngineArena {
   std::vector<int32_t> core_slot_;  // -1 for non-root-var nodes
 
   // Partial-product slot ids, lazily sized child_count+1 per node (empty
-  // until the first sibling product is needed). Watermarks as in the tree:
+  // until the first sibling product is needed). Watermarks:
   // prefix[0..prefix_valid] and suffix[suffix_valid..m] are built; a splice
   // grows the lists, keeping the still-valid prefix entries.
   std::vector<std::vector<int32_t>> prefix_slots_;

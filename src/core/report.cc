@@ -104,7 +104,7 @@ Result<AttributionReport> BuildApproxReport(const CQ& q, const Database& db,
     // The exact engine's orbit partition is at least as coarse as the
     // signature one (it groups by value, not just by automorphism), so
     // forced sampling on tractable queries borrows it for stratification.
-    auto built = ShapleyEngine::Build(q, db, options.engine_core, cancel);
+    auto built = ShapleyEngine::Build(q, db, cancel);
     if (built.ok()) {
       ShapleyEngine engine = std::move(built).value();
       engine_orbits = engine.OrbitIds();
@@ -231,8 +231,7 @@ Result<AttributionReport> BuildAttributionReport(
   ParallelOptions parallel;
   parallel.num_threads = options.num_threads;
   if (report.engine == "CntSat") {
-    auto result = ShapleyAllViaCountSat(q, db, parallel, options.engine_core,
-                                        cancel);
+    auto result = ShapleyAllViaCountSat(q, db, parallel, cancel);
     if (!result.ok()) {
       if (CancelToken::IsCancelled(result.error())) {
         if (options.on_deadline == OnDeadline::kApprox) {

@@ -43,8 +43,8 @@ Result<Rational> ShapleyViaCountSat(const CQ& q, const Database& db,
 
 Result<std::vector<Rational>> ShapleyAllViaCountSat(
     const CQ& q, const Database& db, const ParallelOptions& options,
-    EngineCore core, const CancelToken* cancel) {
-  auto engine = ShapleyEngine::Build(q, db, core, cancel);
+    const CancelToken* cancel) {
+  auto engine = ShapleyEngine::Build(q, db, cancel);
   if (!engine.ok()) {
     return Result<std::vector<Rational>>::Error(engine.error());
   }

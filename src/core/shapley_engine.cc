@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
@@ -34,10 +33,12 @@ using IndexLists = std::vector<std::vector<uint32_t>>;
 // ---------------------------------------------------------------------------
 
 struct ShapleyEngine::Impl {
-  // One node of the memoized CntSat recursion tree. Beyond the memoized
-  // counts, every node carries the routing metadata incremental maintenance
-  // needs to steer an inserted fact from the root to its leaf (or to build a
-  // fresh subtree for a root value the database has not seen before).
+  // One node of the CntSat recursion tree. BuildNode computes sat/core_sat
+  // bottom-up; AbsorbNodeIntoArena then moves them into the flat arena, which
+  // holds every count vector from there on. What stays is the routing
+  // metadata incremental maintenance needs to steer an inserted fact from
+  // the root to its leaf (or to build a fresh subtree for a root value the
+  // database has not seen before).
   struct Node {
     enum class Kind { kGround, kComponent, kRootVar };
     Kind kind = Kind::kGround;
@@ -46,27 +47,13 @@ struct ShapleyEngine::Impl {
     std::vector<int> children;
     size_t free_endo = 0;  // kRootVar: endo facts inconsistent at the root var
     bool negated = false;  // kGround: the atom's polarity
-    CountVector sat = CountVector::Zero(0);  // memoized |Sat| of this subtree
+    CountVector sat = CountVector::Zero(0);  // |Sat| of this subtree
     int sig = -1;          // hash-consed structural signature
-    // Lazily built: context[j] = convolution of all children's combine
-    // vectors except child j (sat for kComponent, unsat for kRootVar).
-    std::vector<CountVector> context;
-    // Persistent partial products backing both the context table and the
-    // mutation patches: prefix[i] = combine[0] ⊛ … ⊛ combine[i-1], valid for
-    // i <= prefix_valid; suffix[i] = combine[i] ⊛ … ⊛ combine[m-1], valid
-    // for i >= suffix_valid (prefix[0] and suffix[m] are the identity).
-    // A patch of child j consumes prefix[j] ⊛ suffix[j+1] and then shrinks
-    // the watermarks to exclude stale entries embedding j's old vector —
-    // so a steady stream of deltas along one path costs O(1) convolutions
-    // per ancestor instead of O(children).
-    std::vector<CountVector> prefix, suffix;
-    size_t prefix_valid = 0;
-    size_t suffix_valid = 0;
 
     // --- incremental-maintenance state ---
-    // kRootVar: sat before the All(free_endo) factor. Kept so free-count
-    // changes and new-child splices re-derive sat without re-convolving all
-    // children (complementing core recovers the product of child unsats).
+    // kRootVar: sat before the All(free_endo) factor (the arena keeps it so
+    // free-count changes and new-child splices re-derive sat without
+    // re-convolving all children).
     CountVector core_sat;
     // kGround: presence state of the leaf's (unique) matching fact.
     GroundFactState leaf_state = GroundFactState::kAbsent;
@@ -104,13 +91,9 @@ struct ShapleyEngine::Impl {
   CountVector baseline = CountVector::Zero(0);
   std::vector<QueryAtom> atoms;
 
-  // Numeric core. With kArena every count vector (memoized sat/core_sat,
-  // partial products, evaluation state) lives in the flat arena and the tree
-  // nodes above keep routing metadata only — their CountVector members stay
-  // [1] identities after the compile step moves the cells out. With kTree
-  // the arena stays empty and the node vectors are authoritative (the
-  // original implementation, kept as the differential oracle).
-  EngineCore core = EngineCore::kArena;
+  // Numeric core: every count vector (memoized sat/core_sat, partial
+  // products, evaluation state) lives in the flat arena; the tree nodes
+  // above keep routing metadata only.
   EngineArena arena;
 
   // Shared fact arena: matched facts as indices, queried via *db. Append-
@@ -147,14 +130,6 @@ struct ShapleyEngine::Impl {
   const CancelToken* build_cancel = nullptr;
   bool build_cancelled = false;
 
-  // One flag per node, allocated before the first parallel fan-out: workers
-  // racing to EnsureContexts on a shared ancestor serialize through
-  // call_once, which also publishes the built vectors to the losers. Null
-  // until a parallel query happens; the serial path never pays for it.
-  // Mutations reset it (flags are single-use), so the next parallel query
-  // re-allocates flags covering any nodes the mutation added.
-  std::unique_ptr<std::vector<std::once_flag>> context_once;
-
   int Intern(const std::string& canonical) {
     return sig_interner
         .emplace(canonical, static_cast<int>(sig_interner.size()))
@@ -170,16 +145,6 @@ struct ShapleyEngine::Impl {
                 const std::vector<size_t>& atom_ids);
   void AbsorbNodeIntoArena(int node_id);
   void ResignNode(int node_id);
-  CountVector CombineOf(const Node& parent, int child_id) const;
-  void EnsurePartials(int node_id);
-  const CountVector& PrefixUpTo(int node_id, size_t j);
-  const CountVector& SuffixFrom(int node_id, size_t i);
-  void EnsureContexts(int node_id);
-  void EnsureContextsFor(int node_id);
-  CountVector SiblingCombine(int parent_id, size_t j);
-  void MarkChildDirty(Node& parent, size_t j);
-  CountVector PropagateToRoot(int leaf, CountVector vec);
-  Rational ValueAtLeaf(int leaf);
   const Rational& OrbitValue(size_t endo_index);
   void RefreshOrbitKeysIfDirty();
   void ApplyInsert(FactId fact);
@@ -388,9 +353,9 @@ int ShapleyEngine::Impl::BuildNode(const CQ& q, IndexLists lists,
 }
 
 // Compile step for one tree node: metadata is copied into the arena's
-// parallel arrays, the numeric vectors are MOVED into the flat cell buffer,
-// and the tree node keeps [1] identities in their place (routing metadata —
-// slice maps, subqueries, signatures — stays authoritative in the tree).
+// parallel arrays and the numeric vectors are MOVED into the flat cell
+// buffer (routing metadata — slice maps, subqueries, signatures — stays
+// authoritative in the tree).
 // Called for every node at Build and for the fresh subtree of an insert.
 void ShapleyEngine::Impl::AbsorbNodeIntoArena(int node_id) {
   Node& node = nodes[node_id];
@@ -406,8 +371,8 @@ void ShapleyEngine::Impl::AbsorbNodeIntoArena(int node_id) {
       kind = EngineArena::NodeKind::kRootVar;
       break;
   }
-  // The moves leave hollow CountVectors behind (arena-mode tree nodes are
-  // routing metadata only; numerically they are touched just by destruction,
+  // The moves leave hollow CountVectors behind (tree nodes are routing
+  // metadata only; numerically they are touched just by destruction,
   // assignment and ApproxMemoryBytes, all safe on a hollow vector). Not
   // resetting them to fresh [1] identities keeps the absorb pass free of
   // per-node allocator traffic.
@@ -417,153 +382,8 @@ void ShapleyEngine::Impl::AbsorbNodeIntoArena(int node_id) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-fact path re-evaluation
+// Orbit values and keys
 // ---------------------------------------------------------------------------
-
-// combine(i): the vector child i contributes to the parent's product — its
-// sat for conjunction (kComponent), its unsat for the "no slice holds"
-// product (kRootVar).
-CountVector ShapleyEngine::Impl::CombineOf(const Node& parent,
-                                           int child_id) const {
-  return parent.kind == Node::Kind::kRootVar
-             ? nodes[child_id].sat.ComplementAgainstAll()
-             : nodes[child_id].sat;
-}
-
-// Allocates (or re-sizes after a new-child splice) the partial-product
-// arrays. Fresh entries are the Convolve identity; the watermarks mark
-// everything else as not-yet-built.
-void ShapleyEngine::Impl::EnsurePartials(int node_id) {
-  Node& node = nodes[node_id];
-  const size_t m = node.children.size();
-  if (node.prefix.size() != m + 1) {
-    // A grown prefix keeps its valid entries (they exclude the new last
-    // child by construction); fresh entries default-construct to the
-    // identity, which is exactly prefix[0].
-    node.prefix.resize(m + 1);
-    node.prefix_valid = std::min(node.prefix_valid, m);
-  }
-  if (node.suffix.size() != m + 1) {
-    // Every old suffix entry misses the newly appended child: rebuild lazily
-    // from the identity at the new end.
-    node.suffix.assign(m + 1, CountVector());
-    node.suffix_valid = m;
-  }
-}
-
-const CountVector& ShapleyEngine::Impl::PrefixUpTo(int node_id, size_t j) {
-  Node& node = nodes[node_id];
-  for (size_t i = node.prefix_valid; i < j; ++i) {
-    node.prefix[i + 1] =
-        node.prefix[i].Convolve(CombineOf(node, node.children[i]));
-  }
-  node.prefix_valid = std::max(node.prefix_valid, j);
-  return node.prefix[j];
-}
-
-const CountVector& ShapleyEngine::Impl::SuffixFrom(int node_id, size_t i) {
-  Node& node = nodes[node_id];
-  for (size_t k = node.suffix_valid; k > i; --k) {
-    node.suffix[k - 1] =
-        CombineOf(node, node.children[k - 1]).Convolve(node.suffix[k]);
-  }
-  node.suffix_valid = std::min(node.suffix_valid, i);
-  return node.suffix[i];
-}
-
-void ShapleyEngine::Impl::EnsureContexts(int node_id) {
-  Node& node = nodes[node_id];
-  if (!node.context.empty() || node.children.empty()) return;
-  const size_t m = node.children.size();
-  // prefix[m] and suffix[0] (the full products) are never read by any
-  // context[j]; stopping one short skips the two widest convolutions.
-  EnsurePartials(node_id);
-  PrefixUpTo(node_id, m - 1);
-  SuffixFrom(node_id, 1);
-  node.context.reserve(m);
-  for (size_t j = 0; j < m; ++j) {
-    node.context.push_back(node.prefix[j].Convolve(node.suffix[j + 1]));
-  }
-}
-
-// Thread-aware front door to EnsureContexts: once any parallel query has
-// allocated the per-node once_flags, context construction funnels through
-// call_once (one builder per node, result published to every waiter). Before
-// that, it is the plain serial call.
-void ShapleyEngine::Impl::EnsureContextsFor(int node_id) {
-  if (context_once != nullptr) {
-    std::call_once((*context_once)[node_id],
-                   [this, node_id] { EnsureContexts(node_id); });
-    return;
-  }
-  EnsureContexts(node_id);
-}
-
-// Product of the combine vectors of every child of `parent_id` EXCEPT child
-// j. Reads the memoized context when present (it excludes child j, so it
-// survives child j's own mutation); otherwise composes it from the
-// persistent prefix/suffix partials — both exclude child j, so after one
-// warm-up a steady delta stream along this child costs one convolution here.
-CountVector ShapleyEngine::Impl::SiblingCombine(int parent_id, size_t j) {
-  if (!nodes[parent_id].context.empty()) return nodes[parent_id].context[j];
-  EnsurePartials(parent_id);
-  return PrefixUpTo(parent_id, j).Convolve(SuffixFrom(parent_id, j + 1));
-}
-
-// Invalidates exactly the cached products that embed child j's replaced
-// combine vector: the whole context table, the prefixes past j and the
-// suffixes at or before j. prefix[0..j] and suffix[j+1..] exclude j and
-// stay warm for the next patch through the same child.
-void ShapleyEngine::Impl::MarkChildDirty(Node& parent, size_t j) {
-  parent.context.clear();
-  if (!parent.prefix.empty()) {
-    parent.prefix_valid = std::min(parent.prefix_valid, j);
-    parent.suffix_valid = std::max(parent.suffix_valid, j + 1);
-  }
-}
-
-// Walks a perturbed leaf vector up to the root, re-convolving against the
-// memoized sibling products. The returned vector is the full-database |Sat|
-// with the leaf's fact forced to the given leaf vector (universe n-1).
-CountVector ShapleyEngine::Impl::PropagateToRoot(int leaf, CountVector vec) {
-  for (int node = leaf; nodes[node].parent >= 0;) {
-    const int parent = nodes[node].parent;
-    const int j = nodes[node].child_index;
-    EnsureContextsFor(parent);
-    const Node& pn = nodes[parent];
-    if (pn.kind == Node::Kind::kComponent) {
-      vec = pn.context[j].Convolve(vec);
-    } else {
-      CountVector unsat_all =
-          pn.context[j].Convolve(vec.ComplementAgainstAll());
-      vec = CountVector::All(unsat_all.universe_size()) - unsat_all;
-      if (pn.free_endo > 0) {
-        vec.ConvolveWith(CountVector::All(pn.free_endo));
-      }
-    }
-    node = parent;
-  }
-  if (global_free_endo > 0) {
-    vec.ConvolveWith(CountVector::All(global_free_endo));
-  }
-  return vec;
-}
-
-// Shapley value of the fact at `leaf`: re-evaluates the two perturbed
-// scenarios (fact exogenous / fact removed) along the single path.
-Rational ShapleyEngine::Impl::ValueAtLeaf(int leaf) {
-  if (core == EngineCore::kArena) {
-    return arena.ValueAtLeaf(leaf, endo_count, global_free_endo);
-  }
-  const bool negated = nodes[leaf].negated;
-  // Forced exogenous: a positive ground atom is always satisfied (All(0)),
-  // a negated one always blocked (Zero(0)). Removal is the mirror image.
-  CountVector present = CountVector::All(0);
-  CountVector absent = CountVector::Zero(0);
-  CountVector sat_with = PropagateToRoot(leaf, negated ? absent : present);
-  CountVector sat_without = PropagateToRoot(leaf, negated ? present : absent);
-  return ShapleyFromSatCounts(sat_with, sat_without, endo_count);
-}
 
 // Memoized per-orbit value for the fact at the given endo index (which must
 // not be a null player).
@@ -571,7 +391,9 @@ const Rational& ShapleyEngine::Impl::OrbitValue(size_t endo_index) {
   const std::vector<int>& key = orbit_key_of_endo[endo_index];
   auto it = orbit_values.find(key);
   if (it == orbit_values.end()) {
-    it = orbit_values.emplace(key, ValueAtLeaf(leaf_of_endo[endo_index]))
+    it = orbit_values
+             .emplace(key, arena.ValueAtLeaf(leaf_of_endo[endo_index],
+                                             endo_count, global_free_endo))
              .first;
   }
   return it->second;
@@ -599,30 +421,14 @@ void ShapleyEngine::Impl::RefreshOrbitKeysIfDirty() {
 
 // Re-derives the |Sat| vectors of every ancestor of `dirty` (whose own sat
 // and sig the caller has already updated), bottom-up along the single
-// root-to-leaf path. Each step convolves the child's new combine vector
-// against the sibling product — memoized context when available, direct
-// convolution otherwise — so the patch never touches a node off the path.
-// The ancestors' context tables are dropped (their other entries embed the
-// child's stale vector) and rebuilt lazily by the next query.
+// root-to-leaf path. Each arena step convolves the child's new combine
+// vector against the prefix/suffix sibling product, so the patch never
+// touches a node off the path.
 void ShapleyEngine::Impl::PatchAncestors(int dirty) {
   for (int node = dirty; nodes[node].parent >= 0;) {
     const int parent = nodes[node].parent;
-    const size_t j = static_cast<size_t>(nodes[node].child_index);
-    if (core == EngineCore::kArena) {
-      arena.PatchChildChanged(parent, j);
-    } else {
-      CountVector sibling = SiblingCombine(parent, j);
-      Node& pn = nodes[parent];
-      if (pn.kind == Node::Kind::kComponent) {
-        pn.sat = sibling.Convolve(nodes[node].sat);
-      } else {
-        CountVector unsat_all =
-            sibling.Convolve(nodes[node].sat.ComplementAgainstAll());
-        pn.core_sat = CountVector::All(unsat_all.universe_size()) - unsat_all;
-        pn.sat = pn.core_sat.Convolve(CountVector::All(pn.free_endo));
-      }
-      MarkChildDirty(pn, j);
-    }
+    arena.PatchChildChanged(parent,
+                            static_cast<size_t>(nodes[node].child_index));
     ResignNode(parent);
     node = parent;
   }
@@ -632,23 +438,14 @@ void ShapleyEngine::Impl::PatchAncestors(int dirty) {
 // Invalidation epilogue of every value-affecting mutation. The player count
 // changed (or the root's |Sat| did), so every memoized per-orbit Rational is
 // stale even though only one path's count vectors moved; orbit keys
-// regenerate lazily. The once-flag vector is single-use and may be
-// under-sized after an insert added nodes, so it is dropped and re-allocated
-// by the next parallel query.
+// regenerate lazily. Every arena r-vector embeds path products and the
+// All(global_free_endo) root seed, and the arena's orbit-id cache keys off
+// the (possibly changed) player set: both are dropped too.
 void ShapleyEngine::Impl::FinishMutation() {
-  if (core == EngineCore::kArena) {
-    // Every r-vector embeds path products and the All(global_free_endo)
-    // root seed; the orbit-id cache keys off the (possibly changed) player
-    // set. Both are stale after any value-affecting mutation.
-    arena.InvalidateValues();
-    baseline = arena.SatOf(root).Convolve(CountVector::All(global_free_endo));
-  } else {
-    baseline =
-        nodes[root].sat.Convolve(CountVector::All(global_free_endo));
-  }
+  arena.InvalidateValues();
+  baseline = arena.SatOf(root).Convolve(CountVector::All(global_free_endo));
   orbit_values.clear();
   orbit_keys_dirty = true;
-  context_once.reset();
   endo_count = db->endogenous_count();
   stats.node_count = nodes.size();
   stats.arena_size = arena_fact.size();
@@ -674,12 +471,7 @@ void ShapleyEngine::Impl::RouteInsert(int node_id, uint32_t arena_index,
       leaf.leaf_state = arena_endo[arena_index]
                             ? GroundFactState::kEndogenous
                             : GroundFactState::kExogenous;
-      if (core == EngineCore::kArena) {
-        arena.SetLeafSat(node_id,
-                         GroundLeafSat(leaf.negated, leaf.leaf_state));
-      } else {
-        leaf.sat = GroundLeafSat(leaf.negated, leaf.leaf_state);
-      }
+      arena.SetLeafSat(node_id, GroundLeafSat(leaf.negated, leaf.leaf_state));
       leaf_of_fact[fact] = node_id;
       if (arena_endo[arena_index]) {
         leaf_of_endo[db->endo_index(fact)] = node_id;
@@ -716,11 +508,7 @@ void ShapleyEngine::Impl::RouteInsert(int node_id, uint32_t arena_index,
     // build-time slicing exactly.
     if (arena_endo[arena_index]) {
       ++node.free_endo;
-      if (core == EngineCore::kArena) {
-        arena.SetFreeEndo(node_id, static_cast<uint32_t>(node.free_endo));
-      } else {
-        node.sat = node.core_sat.Convolve(CountVector::All(node.free_endo));
-      }
+      arena.SetFreeEndo(node_id, static_cast<uint32_t>(node.free_endo));
       free_node_of_fact[fact] = node_id;
       ResignNode(node_id);
       PatchAncestors(node_id);
@@ -742,9 +530,9 @@ void ShapleyEngine::Impl::RouteInsert(int node_id, uint32_t arena_index,
   IndexLists slice_lists(node.atom_ids.size());
   slice_lists[local].push_back(arena_index);
   const std::vector<size_t> atom_ids_copy = node.atom_ids;
-  // BuildNode fills the new subtree's tree-side sat vectors in both modes
-  // (its bottom-up math only reads nodes it just built); the arena compile
-  // step below then moves them into the flat buffer, node-id order preserved.
+  // BuildNode fills the new subtree's sat vectors (its bottom-up math only
+  // reads nodes it just built); the compile step below then moves them into
+  // the flat arena, node-id order preserved.
   const size_t first_new = nodes.size();
   const int child = BuildNode(sliced, std::move(slice_lists), atom_ids_copy);
   // BuildNode grew the node vector: re-acquire the reference.
@@ -753,21 +541,10 @@ void ShapleyEngine::Impl::RouteInsert(int node_id, uint32_t arena_index,
   nodes[child].child_index = static_cast<int>(grown.children.size());
   grown.children.push_back(child);
   grown.child_by_value[root_value.id] = child;
-  if (core == EngineCore::kArena) {
-    for (size_t id = first_new; id < nodes.size(); ++id) {
-      AbsorbNodeIntoArena(static_cast<int>(id));
-    }
-    arena.SpliceNewChild(node_id, child);
-  } else {
-    CountVector unsat_all = grown.core_sat.ComplementAgainstAll().Convolve(
-        nodes[child].sat.ComplementAgainstAll());
-    grown.core_sat = CountVector::All(unsat_all.universe_size()) - unsat_all;
-    grown.sat = grown.core_sat.Convolve(CountVector::All(grown.free_endo));
+  for (size_t id = first_new; id < nodes.size(); ++id) {
+    AbsorbNodeIntoArena(static_cast<int>(id));
   }
-  // The child list grew: the context table is stale, and the next
-  // EnsurePartials re-sizes the partial-product arrays (old prefixes stay
-  // valid — they exclude the appended child — old suffixes rebuild lazily).
-  grown.context.clear();
+  arena.SpliceNewChild(node_id, child);
   ResignNode(node_id);
   PatchAncestors(node_id);
 }
@@ -822,11 +599,7 @@ void ShapleyEngine::Impl::ApplyDelete(FactId fact, bool endo,
     leaf_of_fact.erase(leaf_it);
     Node& leaf = nodes[leaf_id];
     leaf.leaf_state = GroundFactState::kAbsent;
-    if (core == EngineCore::kArena) {
-      arena.SetLeafSat(leaf_id, GroundLeafSat(leaf.negated, leaf.leaf_state));
-    } else {
-      leaf.sat = GroundLeafSat(leaf.negated, leaf.leaf_state);
-    }
+    arena.SetLeafSat(leaf_id, GroundLeafSat(leaf.negated, leaf.leaf_state));
     ResignNode(leaf_id);
     PatchAncestors(leaf_id);
     return;
@@ -838,11 +611,7 @@ void ShapleyEngine::Impl::ApplyDelete(FactId fact, bool endo,
     Node& node = nodes[node_id];
     SHAPCQ_CHECK(node.free_endo > 0);
     --node.free_endo;
-    if (core == EngineCore::kArena) {
-      arena.SetFreeEndo(node_id, static_cast<uint32_t>(node.free_endo));
-    } else {
-      node.sat = node.core_sat.Convolve(CountVector::All(node.free_endo));
-    }
+    arena.SetFreeEndo(node_id, static_cast<uint32_t>(node.free_endo));
     ResignNode(node_id);
     PatchAncestors(node_id);
     return;
@@ -865,14 +634,7 @@ ShapleyEngine::~ShapleyEngine() = default;
 ShapleyEngine::ShapleyEngine(ShapleyEngine&&) noexcept = default;
 ShapleyEngine& ShapleyEngine::operator=(ShapleyEngine&&) noexcept = default;
 
-std::optional<EngineCore> ParseEngineCore(const std::string& name) {
-  if (name == "arena") return EngineCore::kArena;
-  if (name == "tree") return EngineCore::kTree;
-  return std::nullopt;
-}
-
 Result<ShapleyEngine> ShapleyEngine::Build(const CQ& q, const Database& db,
-                                           EngineCore core,
                                            const CancelToken* cancel) {
   if (!IsSafe(q)) {
     return Result<ShapleyEngine>::Error(
@@ -890,7 +652,6 @@ Result<ShapleyEngine> ShapleyEngine::Build(const CQ& q, const Database& db,
   ShapleyEngine engine;
   engine.impl_ = std::make_unique<Impl>();
   Impl& impl = *engine.impl_;
-  impl.core = core;
   impl.db = &db;
   impl.endo_count = db.endogenous_count();
   impl.leaf_of_endo.assign(impl.endo_count, -1);
@@ -934,24 +695,22 @@ Result<ShapleyEngine> ShapleyEngine::Build(const CQ& q, const Database& db,
   impl.baseline = impl.nodes[impl.root].sat.Convolve(
       CountVector::All(impl.global_free_endo));
 
-  // kArena: compile the freshly built tree into the flat arena — every
-  // memoized count vector moves into the contiguous cell buffer (the tree
-  // nodes keep routing metadata), and the topological node order is fixed.
-  if (core == EngineCore::kArena) {
-    impl.arena.Reserve(impl.nodes.size());
-    size_t cell_count = 0;
-    for (const Impl::Node& node : impl.nodes) {
-      cell_count += node.sat.universe_size() + 1;
-      if (node.kind == Impl::Node::Kind::kRootVar) {
-        cell_count += node.core_sat.universe_size() + 1;
-      }
+  // Compile the freshly built tree into the flat arena: every count vector
+  // moves into the contiguous cell buffer (the tree nodes keep routing
+  // metadata), and the topological node order is fixed.
+  impl.arena.Reserve(impl.nodes.size());
+  size_t cell_count = 0;
+  for (const Impl::Node& node : impl.nodes) {
+    cell_count += node.sat.universe_size() + 1;
+    if (node.kind == Impl::Node::Kind::kRootVar) {
+      cell_count += node.core_sat.universe_size() + 1;
     }
-    impl.arena.ReserveCells(cell_count);
-    for (size_t id = 0; id < impl.nodes.size(); ++id) {
-      impl.AbsorbNodeIntoArena(static_cast<int>(id));
-    }
-    impl.arena.SealStructure(impl.root);
   }
+  impl.arena.ReserveCells(cell_count);
+  for (size_t id = 0; id < impl.nodes.size(); ++id) {
+    impl.AbsorbNodeIntoArena(static_cast<int>(id));
+  }
+  impl.arena.SealStructure(impl.root);
 
   // Orbit keys: the hash-consed signature of every node on the leaf-to-root
   // path. Equal keys -> the leaves are related by a tree automorphism ->
@@ -973,11 +732,6 @@ Result<ShapleyEngine> ShapleyEngine::Build(const CQ& q, const Database& db,
   return Result<ShapleyEngine>::Ok(std::move(engine));
 }
 
-EngineCore ShapleyEngine::core() const {
-  SHAPCQ_CHECK(impl_ != nullptr);
-  return impl_->core;
-}
-
 const CountVector& ShapleyEngine::BaselineSat() const {
   SHAPCQ_CHECK(impl_ != nullptr);
   return impl_->baseline;
@@ -994,9 +748,53 @@ Rational ShapleyEngine::Value(FactId f) {
 }
 
 std::vector<Rational> ShapleyEngine::AllValues() {
+  return AllValues(ParallelOptions{});
+}
+
+std::vector<Rational> ShapleyEngine::AllValues(const ParallelOptions& options) {
+  return std::move(AllValues(options, nullptr)).value();
+}
+
+Result<std::vector<Rational>> ShapleyEngine::AllValues(
+    const ParallelOptions& options, const CancelToken* cancel) {
+  using R = Result<std::vector<Rational>>;
   SHAPCQ_CHECK(impl_ != nullptr);
   Impl& impl = *impl_;
+  if (cancel != nullptr && !cancel->Enabled()) cancel = nullptr;
   impl.RefreshOrbitKeysIfDirty();
+  const size_t num_threads =
+      ThreadPool::ResolveThreadCount(options.num_threads);
+
+  if (num_threads > 1) {
+    // Orbit representatives still missing from the memo, in first-seen
+    // endo-index order — exactly the leaves the assembly below evaluates.
+    // Values already memoized (by an earlier, possibly cancelled, query)
+    // are pure functions of the built index, so reusing them preserves
+    // bit-identity.
+    std::vector<int> rep_leaves;
+    std::set<std::vector<int>> seen;
+    for (size_t e = 0; e < impl.endo_count; ++e) {
+      if (impl.leaf_of_endo[e] < 0) continue;  // null player
+      const std::vector<int>& key = impl.orbit_key_of_endo[e];
+      if (impl.orbit_values.count(key) != 0) continue;  // already memoized
+      if (seen.insert(key).second) rep_leaves.push_back(impl.leaf_of_endo[e]);
+    }
+    // WarmValuePaths fills every representative's r-vector with a
+    // level-parallel sweep (slot lengths pinned by a serial prepass, so
+    // workers never move the cell buffer), cancellable between levels; the
+    // serial assembly then reads warm state only. Bit-identical to the
+    // serial path at every thread count by the slot-per-result argument in
+    // engine_arena.h, and a partial warm leaves only cold watermarks behind.
+    if (rep_leaves.size() > 1) {
+      Combinatorics::Prewarm(impl.endo_count);
+      if (!impl.arena.WarmValuePaths(rep_leaves, impl.global_free_endo,
+                                     num_threads, cancel)) {
+        return R::Error(CancelToken::kCancelledMessage);
+      }
+    }
+  }
+
+  // Serial assembly, polling `cancel` before each orbit not yet memoized.
   std::vector<Rational> values;
   values.reserve(impl.endo_count);
   bool any_null = false;
@@ -1006,161 +804,15 @@ std::vector<Rational> ShapleyEngine::AllValues() {
       values.push_back(Rational(0));
       continue;
     }
+    if (cancel != nullptr &&
+        impl.orbit_values.count(impl.orbit_key_of_endo[e]) == 0 &&
+        cancel->Expired()) {
+      return R::Error(CancelToken::kCancelledMessage);
+    }
     values.push_back(impl.OrbitValue(e));
   }
   impl.stats.orbit_count = impl.orbit_values.size() + (any_null ? 1 : 0);
-  return values;
-}
-
-std::vector<Rational> ShapleyEngine::AllValues(const ParallelOptions& options) {
-  SHAPCQ_CHECK(impl_ != nullptr);
-  Impl& impl = *impl_;
-  impl.RefreshOrbitKeysIfDirty();
-  const size_t num_threads =
-      ThreadPool::ResolveThreadCount(options.num_threads);
-  if (num_threads <= 1) return AllValues();  // the serial path, unchanged
-
-  // Orbit representatives still missing from the memo, in first-seen
-  // endo-index order — the exact representative (and therefore the exact
-  // leaf) the serial path would evaluate, so every Rational below is computed
-  // from the same count vectors as serially: bit-identical by construction.
-  std::vector<size_t> rep_endo;
-  {
-    std::set<std::vector<int>> seen;
-    for (size_t e = 0; e < impl.endo_count; ++e) {
-      if (impl.leaf_of_endo[e] < 0) continue;  // null player
-      const std::vector<int>& key = impl.orbit_key_of_endo[e];
-      if (impl.orbit_values.count(key) != 0) continue;  // already memoized
-      if (seen.insert(key).second) rep_endo.push_back(e);
-    }
-  }
-
-  if (impl.core == EngineCore::kArena) {
-    // The arena parallelizes below the value assembly: WarmValuePaths fills
-    // every representative's r-vector with a level-parallel sweep (slot
-    // lengths pinned by a serial prepass, so workers never move the cell
-    // buffer), then the serial assembly reads warm state only. Bit-identical
-    // to the serial path at every thread count by the slot-per-result
-    // argument in engine_arena.h.
-    if (rep_endo.size() > 1) {
-      Combinatorics::Prewarm(impl.endo_count);
-      std::vector<int> rep_leaves;
-      rep_leaves.reserve(rep_endo.size());
-      for (size_t e : rep_endo) rep_leaves.push_back(impl.leaf_of_endo[e]);
-      impl.arena.WarmValuePaths(rep_leaves, impl.global_free_endo,
-                                num_threads);
-    }
-    return AllValues();
-  }
-
-  if (rep_endo.size() > 1) {
-    // Workers only ever read the caches on the hot path after this.
-    Combinatorics::Prewarm(impl.endo_count);
-    if (impl.context_once == nullptr) {
-      impl.context_once =
-          std::make_unique<std::vector<std::once_flag>>(impl.nodes.size());
-    }
-    // Slot-per-representative output buffer: the pool schedules dynamically,
-    // but each worker writes only rep_values[i], so the merge below is
-    // independent of which thread computed what.
-    std::vector<Rational> rep_values(rep_endo.size());
-    ThreadPool pool(std::min(num_threads, rep_endo.size()));
-    pool.ParallelFor(rep_endo.size(), [&impl, &rep_endo, &rep_values](
-                                          size_t i) {
-      rep_values[i] = impl.ValueAtLeaf(impl.leaf_of_endo[rep_endo[i]]);
-    });
-    for (size_t i = 0; i < rep_endo.size(); ++i) {
-      impl.orbit_values.emplace(impl.orbit_key_of_endo[rep_endo[i]],
-                                std::move(rep_values[i]));
-    }
-  }
-  // Every orbit is now memoized: the serial assembly fills the per-fact
-  // vector and the orbit stats exactly as before.
-  return AllValues();
-}
-
-Result<std::vector<Rational>> ShapleyEngine::AllValues(
-    const ParallelOptions& options, const CancelToken* cancel) {
-  using R = Result<std::vector<Rational>>;
-  if (cancel == nullptr || !cancel->Enabled()) {
-    return R::Ok(AllValues(options));
-  }
-  SHAPCQ_CHECK(impl_ != nullptr);
-  Impl& impl = *impl_;
-  impl.RefreshOrbitKeysIfDirty();
-  const size_t num_threads =
-      ThreadPool::ResolveThreadCount(options.num_threads);
-
-  // Orbit representatives still missing from the memo, first-seen order —
-  // exactly the work the uncancelled paths would do. Values already
-  // memoized (by an earlier, possibly cancelled, query) are pure functions
-  // of the built index, so reusing them preserves bit-identity.
-  std::vector<size_t> rep_endo;
-  {
-    std::set<std::vector<int>> seen;
-    for (size_t e = 0; e < impl.endo_count; ++e) {
-      if (impl.leaf_of_endo[e] < 0) continue;
-      const std::vector<int>& key = impl.orbit_key_of_endo[e];
-      if (impl.orbit_values.count(key) != 0) continue;
-      if (seen.insert(key).second) rep_endo.push_back(e);
-    }
-  }
-
-  if (num_threads > 1 && impl.core == EngineCore::kArena &&
-      rep_endo.size() > 1) {
-    // Level-parallel warm of every representative's r-vector, cancellable
-    // between levels (a partial warm leaves only cold watermarks behind —
-    // see EngineArena::WarmValuePaths).
-    Combinatorics::Prewarm(impl.endo_count);
-    std::vector<int> rep_leaves;
-    rep_leaves.reserve(rep_endo.size());
-    for (size_t e : rep_endo) rep_leaves.push_back(impl.leaf_of_endo[e]);
-    if (!impl.arena.WarmValuePaths(rep_leaves, impl.global_free_endo,
-                                   num_threads, cancel)) {
-      return R::Error(CancelToken::kCancelledMessage);
-    }
-    // Fall through to the serial assembly: every path is warm, so the
-    // per-representative evaluations below are cheap reads.
-  } else if (num_threads > 1 && impl.core == EngineCore::kTree &&
-             rep_endo.size() > 1) {
-    Combinatorics::Prewarm(impl.endo_count);
-    if (impl.context_once == nullptr) {
-      impl.context_once =
-          std::make_unique<std::vector<std::once_flag>>(impl.nodes.size());
-    }
-    // Slot-per-representative outputs plus a computed flag per slot: a
-    // worker that observes an expired token skips its item, and only
-    // computed values enter the memo after the join — each is pure, so the
-    // partial memo stays consistent for the undeadlined retry.
-    std::vector<Rational> rep_values(rep_endo.size());
-    std::vector<uint8_t> computed(rep_endo.size(), 0);
-    ThreadPool pool(std::min(num_threads, rep_endo.size()));
-    pool.ParallelFor(rep_endo.size(), [&impl, &rep_endo, &rep_values,
-                                       &computed, cancel](size_t i) {
-      if (cancel->Expired()) return;
-      rep_values[i] = impl.ValueAtLeaf(impl.leaf_of_endo[rep_endo[i]]);
-      computed[i] = 1;
-    });
-    bool all_computed = true;
-    for (size_t i = 0; i < rep_endo.size(); ++i) {
-      if (computed[i] == 0) {
-        all_computed = false;
-        continue;
-      }
-      impl.orbit_values.emplace(impl.orbit_key_of_endo[rep_endo[i]],
-                                std::move(rep_values[i]));
-    }
-    if (!all_computed) return R::Error(CancelToken::kCancelledMessage);
-    rep_endo.clear();  // every representative is memoized
-  }
-
-  // Serial (or post-warm) evaluation, polled at each orbit boundary.
-  for (size_t e : rep_endo) {
-    if (cancel->Expired()) return R::Error(CancelToken::kCancelledMessage);
-    impl.orbit_values.emplace(impl.orbit_key_of_endo[e],
-                              impl.ValueAtLeaf(impl.leaf_of_endo[e]));
-  }
-  return R::Ok(AllValues());
+  return R::Ok(std::move(values));
 }
 
 std::vector<size_t> ShapleyEngine::OrbitIds() {
@@ -1169,8 +821,8 @@ std::vector<size_t> ShapleyEngine::OrbitIds() {
   impl.RefreshOrbitKeysIfDirty();
   // The arena memoizes the dense id vector across queries (mutations drop it
   // via InvalidateValues): the sampling tier calls OrbitIds per report, and
-  // the key re-collection above is pure overhead when nothing changed.
-  if (impl.core == EngineCore::kArena && impl.arena.HasOrbitIds()) {
+  // the key re-collection below is pure overhead when nothing changed.
+  if (impl.arena.HasOrbitIds()) {
     const std::vector<size_t>& cached = impl.arena.CachedOrbitIds();
     size_t orbit_count = 0;  // ids are dense first-seen: count = max + 1
     for (size_t id : cached) orbit_count = std::max(orbit_count, id + 1);
@@ -1185,7 +837,7 @@ std::vector<size_t> ShapleyEngine::OrbitIds() {
         ids.emplace(impl.orbit_key_of_endo[e], ids.size()).first->second);
   }
   impl.stats.orbit_count = ids.size();
-  if (impl.core == EngineCore::kArena) impl.arena.CacheOrbitIds(out);
+  impl.arena.CacheOrbitIds(out);
   return out;
 }
 
@@ -1295,23 +947,13 @@ size_t ShapleyEngine::ApproxMemoryBytes() const {
   SHAPCQ_CHECK(impl_ != nullptr);
   const Impl& impl = *impl_;
   size_t bytes = sizeof(Impl);
-  // kArena: the cell buffer, slot table and SoA arrays (the tree loop below
-  // still runs — in arena mode its vectors are [1] identities, so it counts
-  // the routing metadata only).
+  // The cell buffer, slot table and SoA arrays; the tree loop below counts
+  // the routing metadata (its count vectors were moved into the arena).
   bytes += impl.arena.ApproxMemoryBytes();
   for (const Impl::Node& node : impl.nodes) {
     bytes += sizeof(Impl::Node);
     bytes += node.sat.ApproxMemoryBytes();
     bytes += node.core_sat.ApproxMemoryBytes();
-    for (const CountVector& vec : node.context) {
-      bytes += vec.ApproxMemoryBytes();
-    }
-    for (const CountVector& vec : node.prefix) {
-      bytes += vec.ApproxMemoryBytes();
-    }
-    for (const CountVector& vec : node.suffix) {
-      bytes += vec.ApproxMemoryBytes();
-    }
     bytes += node.children.capacity() * sizeof(int);
     bytes += node.atom_ids.capacity() * sizeof(size_t);
     for (const std::vector<size_t>& positions : node.root_positions) {

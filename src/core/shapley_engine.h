@@ -10,12 +10,13 @@
 //     atom pattern) and the root-variable slice tree of the CntSat recursion
 //     are built ONCE. Facts live in a flat arena; recursion slices are
 //     vectors of arena indices, never copied Tuples.
-//  2. Node memoization. Every tree node caches its |Sat| count vector, and
-//     every internal node lazily caches, per child, the convolution of all
-//     OTHER children's combine vectors (prefix x suffix products). A per-fact
-//     query then re-evaluates only the leaf-to-root path, convolving the
-//     perturbed child vector against the memoized sibling product at each
-//     ancestor.
+//  2. Node memoization. The recursion tree is compiled into the flat
+//     EngineArena (engine_arena.h): every node's |Sat| count vector, and per
+//     child the convolution of all OTHER children's combine vectors (prefix
+//     x suffix products), live in one contiguous cell buffer. A per-fact
+//     value then needs only one difference vector pushed down the shared
+//     root-to-leaf path, convolving against the memoized sibling product at
+//     each ancestor.
 //  3. Orbits. Facts whose leaf-to-root paths traverse structurally identical
 //     (hash-consed signature-equal) children are symmetric players of the
 //     game; one Shapley value is computed per orbit. Facts matching no atom
@@ -38,7 +39,6 @@
 #define SHAPCQ_CORE_SHAPLEY_ENGINE_H_
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -51,20 +51,6 @@
 namespace shapcq {
 
 class CancelToken;  // util/cancel.h
-
-/// Which numeric core backs a built engine. kArena (the default) compiles
-/// the recursion tree into the flat EngineArena: count-vector cells in one
-/// contiguous buffer, evaluation as a shared difference-propagation sweep,
-/// mutation patches on arena ranges. kTree keeps every count vector inside
-/// the pointer-linked tree nodes — the original implementation, retained as
-/// the always-on differential oracle and the `--engine=tree` escape hatch.
-/// Both cores produce bit-identical values for every query and mutation
-/// sequence (the fuzz battery in tests/engine_arena_test.cc enforces it).
-enum class EngineCore { kArena, kTree };
-
-/// Maps "arena"/"tree" to the enum; nullopt for anything else. Shared by
-/// the CLI and server --engine flags and the report-request grammar.
-std::optional<EngineCore> ParseEngineCore(const std::string& name);
 
 /// One fact mutation for ShapleyEngine::ApplyDelta: an insert carries the
 /// fact literal, a delete the (stable) FactId of a live fact.
@@ -124,8 +110,8 @@ class ShapleyEngine {
   ShapleyEngine(ShapleyEngine&&) noexcept;
   ShapleyEngine& operator=(ShapleyEngine&&) noexcept;
 
-  /// Builds the shared index and memoized recursion tree, then (with the
-  /// default kArena core) compiles it into the flat arena. Requires q safe,
+  /// Builds the shared index and the recursion tree, then compiles the tree's
+  /// count vectors into the flat EngineArena. Requires q safe,
   /// self-join-free and hierarchical (returns an error otherwise, mirroring
   /// CountSat). The database is captured by reference metadata only; it must
   /// outlive the engine. A non-null `cancel` token is polled at every
@@ -134,11 +120,7 @@ class ShapleyEngine {
   /// partially built engine is discarded and the database is untouched, so
   /// a retry without a deadline is bit-identical to an uncancelled build.
   static Result<ShapleyEngine> Build(const CQ& q, const Database& db,
-                                     EngineCore core = EngineCore::kArena,
                                      const CancelToken* cancel = nullptr);
-
-  /// Which numeric core this engine runs on.
-  EngineCore core() const;
 
   /// |Sat(D,q,k)| for all k of the unmodified database — identical to
   /// CountSat(q, db).
@@ -158,13 +140,13 @@ class ShapleyEngine {
   std::vector<Rational> AllValues(const ParallelOptions& options);
 
   /// Cancellable all-facts query: as AllValues(options), polling `cancel`
-  /// before each orbit-representative evaluation (and, on the arena core,
-  /// between the level-parallel sweep's levels). On expiry it returns the
+  /// before each orbit-representative evaluation (and between the
+  /// level-parallel sweep's levels). On expiry it returns the
   /// cancellation error; every representative already evaluated stays
   /// memoized — each is a pure function of the built index, so a later
   /// (undeadlined) AllValues resumes from the partial memo and returns
-  /// values bit-identical to a fresh engine's. nullptr/disabled tokens take
-  /// the plain AllValues(options) path unchanged.
+  /// values bit-identical to a fresh engine's. nullptr/disabled tokens never
+  /// cancel. Both other overloads are thin calls into this one.
   Result<std::vector<Rational>> AllValues(const ParallelOptions& options,
                                           const CancelToken* cancel);
 

@@ -3,7 +3,6 @@
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
-#include <optional>
 #include <set>
 #include <vector>
 
@@ -152,13 +151,6 @@ Result<ReportRequest> ParseReportRequest(const std::string& args,
         return R::Error("bad force_approx value '" + value +
                         "' (expected 0 or 1)");
       }
-    } else if (key == "engine") {
-      const std::optional<EngineCore> core = ParseEngineCore(value);
-      if (!core.has_value()) {
-        return R::Error("bad engine value '" + value +
-                        "' (expected arena or tree)");
-      }
-      request.engine_core = *core;
     } else if (key == "deadline_ms") {
       if (!ParseSizeStrict(value, &request.deadline_ms)) {
         return R::Error("bad deadline_ms value '" + value + "'");
@@ -176,7 +168,7 @@ Result<ReportRequest> ParseReportRequest(const std::string& args,
     } else {
       return R::Error("unknown key '" + key +
                       "' (expected top_k, threads, approx, seed, "
-                      "max_samples, force_approx, engine, deadline_ms or "
+                      "max_samples, force_approx, deadline_ms or "
                       "on_deadline)");
     }
   }

@@ -14,9 +14,6 @@
 //   max_samples=M    per-orbit sample cap (0 = the full Hoeffding count;
 //                    capping widens the reported intervals)
 //   force_approx=0|1 sample even when an exact engine applies
-//   engine=arena|tree numeric core for per-report engine builds (arena =
-//                    the flat SoA arena, the default; tree = the
-//                    pointer-linked oracle); values are bit-identical
 //   deadline_ms=N    wall-clock budget for this report; expiry returns the
 //                    structured [E_DEADLINE] error (or degrades, per
 //                    on_deadline). 0 = no deadline — also overrides a
@@ -49,7 +46,6 @@ struct ReportRequest {
   size_t top_k = 0;
   size_t threads = 1;
   ApproxSpec approx;            // enabled iff an approx key was given
-  EngineCore engine_core = EngineCore::kArena;
   size_t deadline_ms = 0;          // 0 = no deadline
   bool deadline_in_request = false;  // deadline_ms key was given (so
                                      // deadline_ms=0 can override a server
@@ -64,7 +60,6 @@ struct ReportRequest {
     options.top_k = top_k;
     options.num_threads = threads;
     options.approx = approx;
-    options.engine_core = engine_core;
     options.deadline_ms = deadline_ms;
     options.on_deadline = on_deadline;
     return options;

@@ -1,19 +1,24 @@
 // The flat SoA engine arena (core/engine_arena.h): unit tests of the cell
-// store, topological structure, slack/compaction and byte accounting on a
-// hand-built arena, engine-level degenerate cases, and the differential
-// fuzz battery of the migration contract — the arena core (the default)
-// must stay bit-identical to the pointer-tree oracle (--engine=tree) after
-// build and after every mutation, at every thread count.
+// store, topological structure, slack/compaction, free-fact counters and
+// byte accounting on a hand-built arena, engine-level degenerate cases, and
+// the differential fuzz battery — after build and after every mutation, the
+// delta-maintained engine must be bit-identical, at every thread count, to a
+// fresh Build() over the same database and to the per-fact
+// ShapleyViaCountSat reference (two full CntSat runs per fact, sharing no
+// index, tree or arena with the engine).
 
 #include "core/engine_arena.h"
 
 #include <cstddef>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/count_sat.h"
+#include "core/shapley.h"
 #include "core/shapley_engine.h"
 #include "datasets/query_gen.h"
 #include "datasets/synthetic.h"
@@ -113,88 +118,121 @@ TEST(EngineArenaTest, ApproxMemoryBytesCoversTheCellBuffer) {
   EXPECT_GE(arena.ApproxMemoryBytes(), 12 * sizeof(BigInt));
 }
 
-// ---------------------------------------------------------------------------
-// Engine-level: core selection and degenerate queries.
-// ---------------------------------------------------------------------------
+TEST(EngineArenaTest, SetFreeEndoRederivesSatFromCore) {
+  // A root-var node over one endogenous positive leaf: core_sat = [0, 1].
+  EngineArena arena;
+  const CountVector leaf =
+      GroundLeafSat(/*negated=*/false, GroundFactState::kEndogenous);
+  const CountVector core =
+      CountVector::All(1) - leaf.ComplementAgainstAll();
+  arena.AppendNode(EngineArena::NodeKind::kRootVar, /*parent=*/-1,
+                   /*child_index=*/-1, {1}, /*free_endo=*/0,
+                   /*negated=*/false, core, core);
+  arena.AppendNode(EngineArena::NodeKind::kGround, /*parent=*/0,
+                   /*child_index=*/0, {}, /*free_endo=*/0, /*negated=*/false,
+                   leaf, CountVector());
+  arena.SealStructure(0);
+  EXPECT_EQ(arena.SatOf(0), Counts({0, 1}));
 
-TEST(EngineArenaCoreTest, ParseEngineCoreMapsFlagValues) {
-  EXPECT_EQ(ParseEngineCore("arena"), EngineCore::kArena);
-  EXPECT_EQ(ParseEngineCore("tree"), EngineCore::kTree);
-  EXPECT_FALSE(ParseEngineCore("btree").has_value());
-  EXPECT_FALSE(ParseEngineCore("").has_value());
+  // Two free endogenous facts at the root: sat = core * All(2). They are
+  // null players, so the leaf's fact keeps the whole value 1.
+  arena.SetFreeEndo(0, 2);
+  EXPECT_EQ(arena.SatOf(0), core.Convolve(CountVector::All(2)));
+  EXPECT_EQ(arena.SatOf(0), Counts({0, 1, 2, 1}));
+  EXPECT_EQ(arena.ValueAtLeaf(1, /*endo_count=*/3, /*global_free_endo=*/0),
+            Rational(1));
+  arena.CheckInvariants();
+
+  arena.SetFreeEndo(0, 0);
+  EXPECT_EQ(arena.SatOf(0), core);
 }
 
-TEST(EngineArenaCoreTest, BuildReportsTheSelectedCore) {
-  UniversityDb u = BuildUniversityDb();
-  auto arena = ShapleyEngine::Build(UniversityQ1(), u.db);
-  ASSERT_TRUE(arena.ok()) << arena.error();
-  EXPECT_EQ(arena.value().core(), EngineCore::kArena);
-  auto tree = ShapleyEngine::Build(UniversityQ1(), u.db, EngineCore::kTree);
-  ASSERT_TRUE(tree.ok()) << tree.error();
-  EXPECT_EQ(tree.value().core(), EngineCore::kTree);
-}
+// ---------------------------------------------------------------------------
+// Engine-level degenerate queries.
+// ---------------------------------------------------------------------------
 
-TEST(EngineArenaCoreTest, EmptyDatabaseAgreesAcrossCores) {
+TEST(EngineArenaCoreTest, EmptyDatabaseMatchesCountSat) {
   const CQ q = MustParseCQ("q() :- R(x)");
   Database db;
-  auto arena_built = ShapleyEngine::Build(q, db);
-  ASSERT_TRUE(arena_built.ok()) << arena_built.error();
-  ShapleyEngine arena = std::move(arena_built).value();
-  auto tree_built = ShapleyEngine::Build(q, db, EngineCore::kTree);
-  ASSERT_TRUE(tree_built.ok()) << tree_built.error();
-  ShapleyEngine tree = std::move(tree_built).value();
-  EXPECT_TRUE(arena.AllValues().empty());
-  EXPECT_TRUE(tree.AllValues().empty());
-  EXPECT_EQ(arena.BaselineSat(), tree.BaselineSat());
-  EXPECT_GT(arena.ApproxMemoryBytes(), 0u);
+  auto built = ShapleyEngine::Build(q, db);
+  ASSERT_TRUE(built.ok()) << built.error();
+  ShapleyEngine engine = std::move(built).value();
+  EXPECT_TRUE(engine.AllValues().empty());
+  EXPECT_TRUE(engine.OrbitIds().empty());
+  EXPECT_EQ(engine.BaselineSat(), CountSat(q, db).value());
+  EXPECT_GT(engine.ApproxMemoryBytes(), 0u);
 }
 
-TEST(EngineArenaCoreTest, ExogenousOnlyDatabaseAgreesAcrossCores) {
+TEST(EngineArenaCoreTest, ExogenousOnlyDatabaseMatchesCountSat) {
   const CQ q = MustParseCQ("q() :- R(x)");
   Database db;
   db.AddExo("R", {V("a")});
   db.AddExo("S", {V("b")});
-  auto arena_built = ShapleyEngine::Build(q, db);
-  ASSERT_TRUE(arena_built.ok()) << arena_built.error();
-  ShapleyEngine arena = std::move(arena_built).value();
-  auto tree_built = ShapleyEngine::Build(q, db, EngineCore::kTree);
-  ASSERT_TRUE(tree_built.ok()) << tree_built.error();
-  ShapleyEngine tree = std::move(tree_built).value();
-  EXPECT_TRUE(arena.AllValues().empty());
-  EXPECT_TRUE(tree.AllValues().empty());
-  EXPECT_EQ(arena.BaselineSat(), tree.BaselineSat());
+  auto built = ShapleyEngine::Build(q, db);
+  ASSERT_TRUE(built.ok()) << built.error();
+  ShapleyEngine engine = std::move(built).value();
+  EXPECT_TRUE(engine.AllValues().empty());
+  EXPECT_EQ(engine.BaselineSat(), CountSat(q, db).value());
 }
 
 // ---------------------------------------------------------------------------
-// The migration contract: arena vs tree oracle, bit-identical, at every
-// thread count, after build and after every delta.
+// The differential contract: the delta-maintained engine against a fresh
+// Build and the per-fact ShapleyViaCountSat reference, bit-identical, at
+// every thread count, after build and after every delta.
 // ---------------------------------------------------------------------------
 
-// Compares the arena engine (at thread counts 1/2/4/8) against the tree
-// oracle's serial values: same Rationals, same canonical renderings, same
-// baseline, same orbit partition.
-void ExpectCoresAgree(ShapleyEngine& arena_engine, ShapleyEngine& tree_engine,
-                      size_t endo_count, const std::string& label) {
-  const std::vector<Rational> oracle = tree_engine.AllValues();
-  ASSERT_EQ(oracle.size(), endo_count) << label;
-  for (const size_t threads : {1u, 2u, 4u, 8u}) {
-    const std::vector<Rational> got =
-        arena_engine.AllValues(Threads(threads));
-    ASSERT_EQ(got.size(), oracle.size()) << label << ", t=" << threads;
+// Checks `engine` (maintained on `db`, at thread counts 1/2/4/8) against a
+// fresh Build over `db` and against per-fact ShapleyViaCountSat: same
+// Rationals, same canonical renderings, the fresh build's (and CountSat's)
+// baseline, and one value per orbit of OrbitIds().
+void ExpectMatchesOracles(ShapleyEngine& engine, const CQ& q,
+                          const Database& db, const std::string& label) {
+  std::vector<Rational> oracle;
+  for (FactId f : db.endogenous_facts()) {
+    auto value = ShapleyViaCountSat(q, db, f);
+    ASSERT_TRUE(value.ok()) << value.error() << ", " << label;
+    oracle.push_back(std::move(value).value());
+  }
+  ASSERT_EQ(oracle.size(), db.endogenous_count()) << label;
+
+  auto fresh_built = ShapleyEngine::Build(q, db);
+  ASSERT_TRUE(fresh_built.ok()) << fresh_built.error() << ", " << label;
+  ShapleyEngine fresh = std::move(fresh_built).value();
+
+  const auto expect_identical = [&](const std::vector<Rational>& got,
+                                    const std::string& who) {
+    ASSERT_EQ(got.size(), oracle.size()) << label << ", " << who;
     for (size_t i = 0; i < got.size(); ++i) {
-      ASSERT_EQ(got[i], oracle[i])
-          << label << ", t=" << threads << ", endo index " << i;
+      ASSERT_EQ(got[i], oracle[i]) << label << ", " << who << ", endo index "
+                                   << i;
       ASSERT_EQ(got[i].ToString(), oracle[i].ToString())
-          << label << ", t=" << threads << ", endo index " << i;
+          << label << ", " << who << ", endo index " << i;
+    }
+  };
+  expect_identical(fresh.AllValues(), "fresh build");
+  for (const size_t threads : {1u, 2u, 4u, 8u}) {
+    expect_identical(engine.AllValues(Threads(threads)),
+                     "maintained t=" + std::to_string(threads));
+  }
+
+  EXPECT_EQ(engine.BaselineSat(), fresh.BaselineSat()) << label;
+  EXPECT_EQ(engine.BaselineSat(), CountSat(q, db).value()) << label;
+
+  const std::vector<size_t> orbits = engine.OrbitIds();
+  ASSERT_EQ(orbits.size(), oracle.size()) << label;
+  std::map<size_t, Rational> orbit_value;
+  for (size_t i = 0; i < orbits.size(); ++i) {
+    const auto [it, inserted] = orbit_value.emplace(orbits[i], oracle[i]);
+    if (!inserted) {
+      ASSERT_EQ(it->second, oracle[i])
+          << label << ", orbit " << orbits[i] << " at endo index " << i;
     }
   }
-  EXPECT_EQ(arena_engine.BaselineSat(), tree_engine.BaselineSat()) << label;
-  EXPECT_EQ(arena_engine.OrbitIds(), tree_engine.OrbitIds()) << label;
 }
 
 class EngineArenaDifferentialFuzz : public ::testing::TestWithParam<int> {};
 
-TEST_P(EngineArenaDifferentialFuzz, BitIdenticalToTreeOracleUnderDeltas) {
+TEST_P(EngineArenaDifferentialFuzz, BitIdenticalToFreshBuildUnderDeltas) {
   Rng rng(static_cast<uint64_t>(GetParam()) * 50021 + 7);
   QueryGenOptions query_options;
   query_options.max_depth = 3;
@@ -203,25 +241,16 @@ TEST_P(EngineArenaDifferentialFuzz, BitIdenticalToTreeOracleUnderDeltas) {
   SyntheticOptions db_options;
   db_options.domain_size = 3;
   db_options.facts_per_relation = 4;
-  Database arena_db = RandomDatabaseForQuery(q, {}, db_options, &rng);
-  // Each engine maintains its own copy of the database; identical deltas
-  // keep the copies (and the stable FactIds) in lockstep.
-  Database tree_db = arena_db;
+  Database db = RandomDatabaseForQuery(q, {}, db_options, &rng);
 
-  auto arena_built = ShapleyEngine::Build(q, arena_db);
-  ASSERT_TRUE(arena_built.ok()) << arena_built.error() << " for "
-                                << q.ToString();
-  ShapleyEngine arena_engine = std::move(arena_built).value();
-  auto tree_built = ShapleyEngine::Build(q, tree_db, EngineCore::kTree);
-  ASSERT_TRUE(tree_built.ok()) << tree_built.error() << " for "
-                               << q.ToString();
-  ShapleyEngine tree_engine = std::move(tree_built).value();
+  auto built = ShapleyEngine::Build(q, db);
+  ASSERT_TRUE(built.ok()) << built.error() << " for " << q.ToString();
+  ShapleyEngine engine = std::move(built).value();
 
-  ExpectCoresAgree(arena_engine, tree_engine, arena_db.endogenous_count(),
-                   q.ToString() + " after build");
+  ExpectMatchesOracles(engine, q, db, q.ToString() + " after build");
 
   std::vector<FactId> live;
-  for (size_t i = 0; i < arena_db.fact_slot_count(); ++i) {
+  for (size_t i = 0; i < db.fact_slot_count(); ++i) {
     live.push_back(static_cast<FactId>(i));
   }
   std::vector<std::pair<std::string, size_t>> insertable;
@@ -237,12 +266,8 @@ TEST_P(EngineArenaDifferentialFuzz, BitIdenticalToTreeOracleUnderDeltas) {
       const size_t pick = static_cast<size_t>(rng.UniformInt(live.size()));
       const FactId victim = live[pick];
       live.erase(live.begin() + static_cast<ptrdiff_t>(pick));
-      auto arena_deleted = arena_engine.DeleteFact(arena_db, victim);
-      ASSERT_TRUE(arena_deleted.ok())
-          << arena_deleted.error() << " for " << q.ToString();
-      auto tree_deleted = tree_engine.DeleteFact(tree_db, victim);
-      ASSERT_TRUE(tree_deleted.ok())
-          << tree_deleted.error() << " for " << q.ToString();
+      auto deleted = engine.DeleteFact(db, victim);
+      ASSERT_TRUE(deleted.ok()) << deleted.error() << " for " << q.ToString();
     } else {
       const auto& [relation, arity] =
           insertable[rng.UniformInt(insertable.size())];
@@ -250,23 +275,15 @@ TEST_P(EngineArenaDifferentialFuzz, BitIdenticalToTreeOracleUnderDeltas) {
       for (size_t t = 0; t < arity; ++t) {
         tuple.push_back(V("c" + std::to_string(rng.UniformInt(4))));
       }
-      if (arena_db.FindFact(relation, tuple) != kNoFact) continue;
+      if (db.FindFact(relation, tuple) != kNoFact) continue;
       const bool endogenous = rng.Bernoulli(0.7);
-      auto arena_inserted =
-          arena_engine.InsertFact(arena_db, relation, tuple, endogenous);
-      ASSERT_TRUE(arena_inserted.ok())
-          << arena_inserted.error() << " for " << q.ToString();
-      auto tree_inserted =
-          tree_engine.InsertFact(tree_db, relation, tuple, endogenous);
-      ASSERT_TRUE(tree_inserted.ok())
-          << tree_inserted.error() << " for " << q.ToString();
-      // Stable ids must allocate identically, or later deletes diverge.
-      ASSERT_EQ(arena_inserted.value(), tree_inserted.value());
-      live.push_back(arena_inserted.value());
+      auto inserted = engine.InsertFact(db, relation, tuple, endogenous);
+      ASSERT_TRUE(inserted.ok())
+          << inserted.error() << " for " << q.ToString();
+      live.push_back(inserted.value());
     }
-    ASSERT_EQ(arena_db.ToString(), tree_db.ToString());
-    ExpectCoresAgree(arena_engine, tree_engine, arena_db.endogenous_count(),
-                     q.ToString() + " after delta " + std::to_string(step));
+    ExpectMatchesOracles(engine, q, db,
+                         q.ToString() + " after delta " + std::to_string(step));
   }
 }
 
@@ -284,13 +301,9 @@ TEST(EngineArenaParallelTest, ThreadCountsBitIdenticalOnScalingDb) {
   auto built = ShapleyEngine::Build(q, db);
   ASSERT_TRUE(built.ok()) << built.error();
   ShapleyEngine engine = std::move(built).value();
-  const std::vector<Rational> serial = engine.AllValues(Threads(1));
-  for (const size_t threads : {2u, 4u, 8u}) {
-    EXPECT_EQ(engine.AllValues(Threads(threads)), serial)
-        << "t=" << threads;
-  }
+  ExpectMatchesOracles(engine, q, db, "scaling db after build");
 
-  // And again on a mutated engine, against a fresh tree oracle.
+  // And again on a mutated engine.
   const Atom& atom = q.atoms().front();
   Tuple tuple;
   for (size_t t = 0; t < atom.arity(); ++t) {
@@ -298,14 +311,7 @@ TEST(EngineArenaParallelTest, ThreadCountsBitIdenticalOnScalingDb) {
   }
   auto inserted = engine.InsertFact(db, atom.relation, tuple, true);
   ASSERT_TRUE(inserted.ok()) << inserted.error();
-  auto oracle_built = ShapleyEngine::Build(q, db, EngineCore::kTree);
-  ASSERT_TRUE(oracle_built.ok()) << oracle_built.error();
-  ShapleyEngine oracle = std::move(oracle_built).value();
-  const std::vector<Rational> expected = oracle.AllValues();
-  for (const size_t threads : {1u, 2u, 4u, 8u}) {
-    EXPECT_EQ(engine.AllValues(Threads(threads)), expected)
-        << "t=" << threads;
-  }
+  ExpectMatchesOracles(engine, q, db, "scaling db after insert");
 }
 
 }  // namespace

@@ -479,11 +479,18 @@ TEST(CommandLoopTest, StructuredReportRequestMatchesPositional) {
   EXPECT_NE(Exec(&loop, "REPORT s1 seed=3")
                 .find("require approx=EPS[,DELTA]"),
             std::string::npos);
+  // No key selects a numeric core: engine= is an unknown key.
+  EXPECT_NE(Exec(&loop, "REPORT s1 engine=arena")
+                .find("error: report s1: unknown key 'engine'"),
+            std::string::npos);
+  EXPECT_NE(Exec(&loop, "REPORT s1 engine=tree")
+                .find("error: report s1: unknown key 'engine'"),
+            std::string::npos);
   // force_approx=1 flips an exact-capable session onto the sampling tier.
   const std::string forced =
       Exec(&loop, "REPORT s1 approx=0.2,0.05 force_approx=1");
   EXPECT_NE(forced.find("engine: approx-fpras\n"), std::string::npos);
-  EXPECT_EQ(loop.error_count(), 2u);
+  EXPECT_EQ(loop.error_count(), 4u);
 }
 
 TEST(CommandLoopTest, SharedModeLoopsSeeOneRegistry) {

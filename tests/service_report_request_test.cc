@@ -67,6 +67,17 @@ TEST(ReportRequestTest, BadKeyRejected) {
       << parsed.error();
 }
 
+TEST(ReportRequestTest, EngineKeyIsUnknown) {
+  // No key selects a numeric core: engine= fails like any other unknown key.
+  for (const std::string value : {"arena", "tree"}) {
+    auto parsed = Parse("engine=" + value);
+    ASSERT_FALSE(parsed.ok()) << value;
+    EXPECT_EQ(parsed.error(),
+              "unknown key 'engine' (expected top_k, threads, approx, seed, "
+              "max_samples, force_approx, deadline_ms or on_deadline)");
+  }
+}
+
 TEST(ReportRequestTest, DuplicateKeyRejected) {
   auto parsed = Parse("top_k=3 top_k=4");
   ASSERT_FALSE(parsed.ok());

@@ -150,7 +150,7 @@ rm -f "$approx_tmp" "$gap_tmp"
 guard_cpu_downgrade "$repo_root/BENCH_approx.json" "$approx_merged"
 mv "$approx_merged" "$repo_root/BENCH_approx.json"
 
-"$repo_root/tools/check_arena_speedup.py" \
+"$repo_root/tools/check_engine_speedup.py" \
     "$repo_root/BENCH_shapley.json"
 "$repo_root/tools/check_incremental_speedup.py" \
     "$repo_root/BENCH_incremental.json"

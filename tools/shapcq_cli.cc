@@ -43,7 +43,7 @@ void PrintUsage() {
       "usage: shapcq_cli --db FACTS --query RULE [--exo R1,R2,...]\n"
       "                  [--threads N] [--top-k K] [--brute-force]\n"
       "                  [--approx EPS,DELTA] [--seed S] [--max-samples M]\n"
-      "                  [--force-approx] [--engine arena|tree]\n"
+      "                  [--force-approx]\n"
       "                  [--deadline-ms N] [--on-deadline error|approx]\n"
       "                  [--classify-only] [--explain] [--mutate FILE]\n"
       "  FACTS: whitespace-separated facts, '*' suffix = endogenous,\n"
@@ -66,19 +66,16 @@ void PrintUsage() {
       "  max_samples=M    per-orbit sample cap (0 = the full Hoeffding\n"
       "                   count; capping widens the intervals)\n"
       "  force_approx=0|1 sample even when an exact engine applies\n"
-      "  engine=arena|tree numeric core for the exact engine (arena = the\n"
-      "                   flat SoA default, tree = the pointer-linked\n"
-      "                   oracle); values are bit-identical either way\n"
       "  deadline_ms=N    wall-clock budget for the report (0 = none);\n"
       "                   expiry prints '[E_DEADLINE] ...' and exits 1,\n"
       "                   unless on_deadline=approx\n"
       "  on_deadline=error|approx\n"
       "                   policy when an exact report's deadline expires:\n"
       "                   'error' (default) fails; 'approx' degrades to a\n"
-      "                   work-bounded sampled report ('approx:'\n"
+      "                   sample-bounded sampling report ('approx:'\n"
       "                   provenance line)\n"
       "The flags --top-k/--threads/--approx/--seed/--max-samples/\n"
-      "--force-approx/--engine/--deadline-ms/--on-deadline assemble\n"
+      "--force-approx/--deadline-ms/--on-deadline assemble\n"
       "exactly these key=value pairs.\n");
 }
 
@@ -88,7 +85,7 @@ int RunMutateReplay(const shapcq::CQ& q, shapcq::Database& db,
                     const std::string& path,
                     const shapcq::ReportOptions& options) {
   using namespace shapcq;
-  auto built = ShapleyEngine::Build(q, db, options.engine_core);
+  auto built = ShapleyEngine::Build(q, db);
   if (!built.ok()) {
     std::fprintf(stderr, "--mutate needs the incremental engine: %s\n",
                  built.error().c_str());
@@ -185,8 +182,6 @@ int main(int argc, char** argv) {
       request_text += std::string(" max_samples=") + next();
     } else if (arg == "--force-approx") {
       request_text += " force_approx=1";
-    } else if (arg == "--engine") {
-      request_text += std::string(" engine=") + next();
     } else if (arg == "--deadline-ms") {
       request_text += std::string(" deadline_ms=") + next();
     } else if (arg == "--on-deadline") {
